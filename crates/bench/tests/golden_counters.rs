@@ -261,3 +261,62 @@ fn trace_json_schema_round_trips() {
         .count();
     assert_eq!(frame_spans as u64, trace.frames());
 }
+
+/// The paper-facing one-call entry points (`detect_frame_collisions`
+/// for the RBCD-mode colour pass, `detect_collision_pass` for the §3.6
+/// collision-only pass) on a fixed scene: `cap` frame 1 at 192x128,
+/// default GPU and RBCD configs. Pins the pair set, the unit's counter
+/// set and the frame's total cycle count, so any change to the render
+/// pipeline behind the quickstart, `repro fig2`/`timesteps`, and the
+/// accuracy/hybrid studies shows up here.
+#[test]
+fn golden_detect_entry_points_on_cap() {
+    use rbcd_core::{detect_collision_pass, detect_frame_collisions, FrameCollisions};
+
+    let trace = rbcd_workloads::cap().frame_trace(1);
+    let gpu = opts().gpu;
+    let rbcd = RbcdConfig::default();
+    let check = |name: &str, r: FrameCollisions, tiles: u64, total_cycles: u64| {
+        let pairs: Vec<(u16, u16)> = r.pairs().iter().map(|&(a, b)| (a.get(), b.get())).collect();
+        assert_eq!(pairs, [(26, 41), (28, 30)], "{name}: pair set drifted");
+        let counters: Vec<(&str, u64)> = r.rbcd_stats.counter_set().iter().collect();
+        let mut expected = DETECT_GOLDEN_COUNTERS.to_vec();
+        expected.push(("rbcd.tiles", tiles));
+        expected.sort_unstable();
+        assert_eq!(counters, expected, "{name}: RbcdStats drifted");
+        assert_eq!(r.gpu_stats.total_cycles(), total_cycles, "{name}: total cycles drifted");
+    };
+    // Both passes feed the unit the same collisionable fragments, so
+    // every event counter agrees; only the number of tiles the unit
+    // saw (scenery-only tiles are never binned in the collision-only
+    // pass) and the frame's cycle count differ.
+    check("detect_frame_collisions", detect_frame_collisions(&trace, &gpu, &rbcd), 96, 418_400);
+    check("detect_collision_pass", detect_collision_pass(&trace, &gpu, &rbcd), 37, 251_547);
+}
+
+/// `RbcdStats` counters shared by both entry points on the scene above
+/// (`rbcd.tiles` is pinned per entry point).
+const DETECT_GOLDEN_COUNTERS: &[(&str, u64)] = &[
+    ("rbcd.elements_scanned", 6990),
+    ("rbcd.eq_comparisons", 4408),
+    ("rbcd.ff_drops", 0),
+    ("rbcd.insert_cycles", 6990),
+    ("rbcd.insertions", 6990),
+    ("rbcd.lists_scanned", 2777),
+    ("rbcd.lt_comparisons", 55920),
+    ("rbcd.mux_shifts", 6990),
+    ("rbcd.overflows", 0),
+    ("rbcd.pairs_emitted", 26),
+    ("rbcd.priority_encodes", 3495),
+    ("rbcd.register_ops", 6990),
+    ("rbcd.rescan_passes", 0),
+    ("rbcd.rung_cpu", 0),
+    ("rbcd.rung_rescan", 0),
+    ("rbcd.rung_spare", 0),
+    ("rbcd.scan_cycles", 9767),
+    ("rbcd.spare_allocations", 0),
+    ("rbcd.unmatched_backs", 0),
+    ("rbcd.zeb_list_reads", 9767),
+    ("rbcd.zeb_list_writes", 6990),
+    ("tile.scan_skipped", 2294),
+];

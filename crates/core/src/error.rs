@@ -3,8 +3,6 @@
 //! Scene-facing constructors ([`crate::Zeb::new`], [`crate::FfStack::new`],
 //! [`crate::RbcdUnit::new`]) return these instead of panicking, so a host
 //! application feeding untrusted configuration degrades gracefully.
-//! Internal invariants (e.g. "insert without an active tile") remain
-//! asserts: they indicate driver bugs, not bad input.
 
 use std::error::Error;
 use std::fmt;

@@ -13,7 +13,9 @@
 //! * [`RbcdUnit`] — the complete unit: one insertion unit, one Z-overlap
 //!   unit and one or more ZEBs, double-buffered so scanning the previous
 //!   tile overlaps rasterizing the next (§3.5). It plugs into the GPU
-//!   simulator through [`rbcd_gpu::CollisionUnit`] and accounts its own
+//!   simulator through [`rbcd_gpu::ParallelCollision`]: per-tile insert
+//!   and scan run on [`ZebTileWorker`]s, and the unit replays the ZEB
+//!   claims and scan timing in tile order at merge. It accounts its own
 //!   cycles, energy events, and overflows (Table 3);
 //! * [`software`] — a plain-software image-based collision detector
 //!   (Shinya–Forgue) used as the validation oracle;

@@ -1,4 +1,4 @@
-//! Per-thread RBCD collision workers for parallel tile execution.
+//! Per-thread RBCD collision workers for the tile pipeline.
 //!
 //! [`rbcd_gpu::ParallelCollision`] splits collision detection into an
 //! order-free compute half and an order-dependent merge half.
@@ -6,15 +6,13 @@
 //! worker thread owns a private software ZEB + FF-Stack and produces an
 //! owned [`TileCollisions`] per tile. [`RbcdUnit::merge_scanned_tile`]
 //! is the merge half: called in tile-index order, it replays the ZEB
-//! double-buffer claim and the Z-overlap unit's serialization, so the
-//! unit ends in exactly the state sequential execution produces.
+//! double-buffer claim and the Z-overlap unit's serialization.
 //!
-//! This equivalence rests on the per-tile hardware protocol itself:
-//! every tile starts from a cleared ZEB (`begin_tile` asserts it) and
-//! the FF-Stack is cleared at each list scan, so per-tile insert + scan
-//! results are independent of which ZEB — or here, which thread —
-//! hosted them. Only the *timing* couples tiles, and that is replayed
-//! sequentially at merge.
+//! Per-tile results do not depend on which worker — or which thread —
+//! ran the tile: every tile starts from a cleared ZEB and the FF-Stack
+//! is cleared at each list scan. Only the *timing* couples tiles, and
+//! that is replayed in order at merge, so a frame's results are
+//! bit-identical at any thread count.
 
 use crate::scan::FfStack;
 use crate::software::OracleUnit;
@@ -22,7 +20,7 @@ use crate::stats::RbcdStats;
 use crate::unit::{ladder_zeb_tile, ContactPoint, RbcdConfig, RbcdUnit};
 use crate::zeb::Zeb;
 use crate::ZebElement;
-use rbcd_gpu::{CollisionFragment, CollisionUnit, ObjectId, ParallelCollision, TileCoord};
+use rbcd_gpu::{CollisionFragment, ObjectId, ParallelCollision, TileCoord};
 
 /// One worker thread's private collision state: a software ZEB and
 /// FF-Stack, reused across the tiles the thread claims.
@@ -40,7 +38,7 @@ pub struct ZebTileWorker {
 #[derive(Debug, Clone, Default)]
 pub struct TileCollisions {
     /// Contacts in occupancy (insertion-touch) order — the order the
-    /// sequential unit emits them.
+    /// unit reports them in.
     pub contacts: Vec<ContactPoint>,
     /// The tile's isolated stats, including its `scan_cycles` (used to
     /// replay the scan-unit timing) and `tiles = 1`.
@@ -51,7 +49,8 @@ pub struct TileCollisions {
 }
 
 impl ZebTileWorker {
-    /// Creates a worker mirroring `RbcdUnit::new`'s per-ZEB geometry.
+    /// Creates a worker owning one ZEB of `tile_size²` lists at the
+    /// configured capacity, plus its FF-Stack.
     ///
     /// # Panics
     ///
@@ -70,32 +69,10 @@ impl ZebTileWorker {
         }
     }
 
-    /// Inserts `frags` (in pipeline order) and scans the tile, exactly
-    /// as the sequential `insert` × n + `finish_tile` sequence would —
-    /// including the degradation ladder, which both paths run from the
-    /// same buffered fragment stream.
+    /// Inserts `frags` (in pipeline order) into the worker's ZEB and
+    /// scans the tile, running the degradation ladder on overflow.
     pub fn process_tile(&mut self, tile: TileCoord, frags: &[CollisionFragment]) -> TileCollisions {
-        let mut out = TileCollisions::default();
-        out.stats.tiles = 1;
-        self.pending.clear();
-        for frag in frags {
-            let lx = frag.x - tile.x * self.tile_size;
-            let ly = frag.y - tile.y * self.tile_size;
-            let index = ly * self.tile_size + lx;
-            self.pending.push((index, ZebElement::new(frag.z, frag.object, frag.facing)));
-        }
-        out.stats.scan_cycles = ladder_zeb_tile(
-            &mut self.zeb,
-            &mut self.stack,
-            &self.config,
-            tile,
-            self.tile_size,
-            &self.pending,
-            &mut out.stats,
-            &mut out.contacts,
-            &mut out.escalated,
-        );
-        out
+        self.process_tile_boosted(tile, frags, 0)
     }
 
     /// Like [`ZebTileWorker::process_tile`], but with the effective list
@@ -110,34 +87,36 @@ impl ZebTileWorker {
         frags: &[CollisionFragment],
         boost: u8,
     ) -> TileCollisions {
-        if boost == 0 {
-            return self.process_tile(tile, frags);
-        }
-        let m = self.config.list_capacity.saturating_mul(1usize << (boost.min(24) as usize));
-        let config = RbcdConfig { list_capacity: m, ..self.config };
         let mut out = TileCollisions::default();
         out.stats.tiles = 1;
+        let ts = self.tile_size;
+        let (bx, by) = (tile.x * ts, tile.y * ts);
         self.pending.clear();
-        for frag in frags {
-            let lx = frag.x - tile.x * self.tile_size;
-            let ly = frag.y - tile.y * self.tile_size;
-            let index = ly * self.tile_size + lx;
-            self.pending.push((index, ZebElement::new(frag.z, frag.object, frag.facing)));
-        }
-        let lists = (self.tile_size * self.tile_size) as usize;
-        // The boosted geometry mirrors the ladder's own rescan rung: the
-        // scan stack widens alongside the lists, preserving the
-        // "stack capacity >= list capacity" soundness structure.
-        let mut zeb = Zeb::with_spares(lists, m, self.config.spare_entries)
-            .expect("boosted capacity is positive");
-        let mut stack = FfStack::new(m.max(self.config.ff_stack_capacity))
-            .expect("widened FF-Stack capacity is positive");
+        self.pending.extend(frags.iter().map(|f| {
+            ((f.y - by) * ts + (f.x - bx), ZebElement::new(f.z, f.object, f.facing))
+        }));
+        let mut boosted;
+        let (zeb, stack, config) = if boost == 0 {
+            (&mut self.zeb, &mut self.stack, self.config)
+        } else {
+            // The boosted geometry mirrors the ladder's own rescan rung:
+            // the scan stack widens alongside the lists, preserving the
+            // "stack capacity >= list capacity" soundness structure.
+            let m = self.config.list_capacity.saturating_mul(1usize << (boost.min(24) as usize));
+            boosted = (
+                Zeb::with_spares((ts * ts) as usize, m, self.config.spare_entries)
+                    .expect("boosted capacity is positive"),
+                FfStack::new(m.max(self.config.ff_stack_capacity))
+                    .expect("widened FF-Stack capacity is positive"),
+            );
+            (&mut boosted.0, &mut boosted.1, RbcdConfig { list_capacity: m, ..self.config })
+        };
         out.stats.scan_cycles = ladder_zeb_tile(
-            &mut zeb,
-            &mut stack,
+            zeb,
+            stack,
             &config,
             tile,
-            self.tile_size,
+            ts,
             &self.pending,
             &mut out.stats,
             &mut out.contacts,
@@ -173,7 +152,7 @@ impl ParallelCollision for RbcdUnit {
     }
 
     fn next_free(&self) -> u64 {
-        CollisionUnit::next_free(self)
+        RbcdUnit::next_free(self)
     }
 
     fn merge_tile(&mut self, tile: TileCoord, out: Self::TileOut, start: u64, end: u64) {
@@ -209,7 +188,7 @@ impl ParallelCollision for RbcdUnit {
     }
 
     fn idle_at(&self) -> u64 {
-        CollisionUnit::idle_at(self)
+        RbcdUnit::idle_at(self)
     }
 }
 
@@ -248,7 +227,7 @@ impl ParallelCollision for OracleUnit {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rbcd_gpu::{Facing, ObjectId};
+    use rbcd_gpu::Facing;
 
     fn frag(x: u32, y: u32, z: f32, id: u16, facing: Facing) -> CollisionFragment {
         CollisionFragment { x, y, z, object: ObjectId::new(id), facing }
@@ -266,100 +245,81 @@ mod tests {
         ]
     }
 
-    /// Worker + ordered merge == sequential begin/insert/finish, to the
-    /// bit: contacts (and order), stats, and timing state.
+    /// Merges `tiles` in order, each raster pass 40 cycles long, and
+    /// returns the unit with the dispatch bounds. With `interleaved`,
+    /// one worker computes each tile just before its merge (the
+    /// sequential order); otherwise each tile gets a fresh worker and
+    /// all are computed in reverse before any merge (a parallel order).
+    fn merge_tiles(
+        tiles: &[TileCoord],
+        logging: bool,
+        interleaved: bool,
+    ) -> (RbcdUnit, Vec<(u64, u64)>) {
+        let config = RbcdConfig::default();
+        let mut unit = RbcdUnit::new(config, 16).unwrap();
+        unit.set_tile_logging(logging);
+        let mut worker = ZebTileWorker::new(config, 16);
+        let mut precomputed: Vec<TileCollisions> = Vec::new();
+        if !interleaved {
+            precomputed = tiles
+                .iter()
+                .rev()
+                .map(|&t| ZebTileWorker::new(config, 16).process_tile(t, &tile_frags(t, 16)))
+                .collect();
+        }
+        let (mut cursor, mut bounds) = (0u64, Vec::new());
+        for &tile in tiles {
+            let out = precomputed
+                .pop()
+                .unwrap_or_else(|| worker.process_tile(tile, &tile_frags(tile, 16)));
+            let start = cursor.max(ParallelCollision::next_free(&unit));
+            let end = start + 40;
+            ParallelCollision::merge_tile(&mut unit, tile, out, start, end);
+            bounds.push((start, end));
+            cursor = end;
+        }
+        (unit, bounds)
+    }
+
+    /// Worker + ordered merge is independent of how the compute half
+    /// was scheduled: the sequential and a parallel compute order agree
+    /// to the bit on contacts (and order), stats, and timing state.
     #[test]
     fn worker_merge_matches_sequential_unit() {
-        let config = RbcdConfig::default();
         let tiles = [
             TileCoord { x: 0, y: 0 },
             TileCoord { x: 1, y: 0 },
             TileCoord { x: 3, y: 2 },
         ];
-        // Sequential reference, with a cursor mimicking the simulator's.
-        let mut seq = RbcdUnit::new(config, 16).unwrap();
-        let mut cursor = 0u64;
-        let mut seq_bounds = Vec::new();
-        for tile in tiles {
-            let start = cursor.max(CollisionUnit::next_free(&seq));
-            seq.begin_tile(tile, start);
-            for f in tile_frags(tile, 16) {
-                seq.insert(f);
-            }
-            let end = start + 40;
-            seq.finish_tile(end);
-            seq_bounds.push((start, end));
-            cursor = end;
-        }
-
-        // Parallel path: one worker computes, the unit merges in order.
-        let mut par = RbcdUnit::new(config, 16).unwrap();
-        let mut worker = <RbcdUnit as ParallelCollision>::make_worker(&par);
-        let outs: Vec<TileCollisions> = tiles
-            .iter()
-            .map(|&tile| worker.process_tile(tile, &tile_frags(tile, 16)))
-            .collect();
-        let mut cursor = 0u64;
-        for (&tile, out) in tiles.iter().zip(outs) {
-            let start = cursor.max(ParallelCollision::next_free(&par));
-            let end = start + 40;
-            ParallelCollision::merge_tile(&mut par, tile, out, start, end);
-            cursor = end;
-        }
-
+        let (seq, seq_bounds) = merge_tiles(&tiles, false, true);
+        let (par, par_bounds) = merge_tiles(&tiles, false, false);
+        assert!(!seq.contacts().is_empty(), "the tiles must collide to be meaningful");
         assert_eq!(seq.contacts(), par.contacts());
         assert_eq!(seq.stats(), par.stats());
-        assert_eq!(
-            CollisionUnit::next_free(&seq),
-            ParallelCollision::next_free(&par)
-        );
-        assert_eq!(CollisionUnit::idle_at(&seq), ParallelCollision::idle_at(&par));
+        assert_eq!(ParallelCollision::next_free(&seq), ParallelCollision::next_free(&par));
+        assert_eq!(ParallelCollision::idle_at(&seq), ParallelCollision::idle_at(&par));
         // And the dispatch bounds that drove both timelines agree.
-        assert_eq!(seq_bounds.len(), tiles.len());
+        assert_eq!(seq_bounds, par_bounds);
     }
 
-    /// With tile logging enabled, the sequential and merge paths log
-    /// identical per-tile records (same deltas, same timing brackets),
-    /// and logging changes no result.
+    /// With tile logging enabled, the sequential and parallel compute
+    /// orders log identical per-tile records (same deltas, same timing
+    /// brackets), and logging changes no result.
     #[test]
     fn tile_logs_match_between_sequential_and_merge() {
-        let config = RbcdConfig::default();
         let tiles = [TileCoord { x: 0, y: 0 }, TileCoord { x: 2, y: 1 }];
-
-        let mut seq = RbcdUnit::new(config, 16).unwrap();
-        seq.set_tile_logging(true);
-        let mut cursor = 0u64;
-        for tile in tiles {
-            let start = cursor.max(CollisionUnit::next_free(&seq));
-            seq.begin_tile(tile, start);
-            for f in tile_frags(tile, 16) {
-                seq.insert(f);
-            }
-            let end = start + 40;
-            seq.finish_tile(end);
-            cursor = end;
-        }
-
-        let mut par = RbcdUnit::new(config, 16).unwrap();
-        par.set_tile_logging(true);
-        let mut worker = <RbcdUnit as ParallelCollision>::make_worker(&par);
-        let mut cursor = 0u64;
-        for &tile in &tiles {
-            let out = worker.process_tile(tile, &tile_frags(tile, 16));
-            let start = cursor.max(ParallelCollision::next_free(&par));
-            let end = start + 40;
-            ParallelCollision::merge_tile(&mut par, tile, out, start, end);
-            cursor = end;
-        }
+        let (mut seq, _) = merge_tiles(&tiles, true, true);
+        let (mut par, _) = merge_tiles(&tiles, true, false);
+        let (plain, _) = merge_tiles(&tiles, false, true);
 
         let seq_log = seq.take_tile_records();
-        let par_log = par.take_tile_records();
         assert_eq!(seq_log.len(), tiles.len());
-        assert_eq!(seq_log, par_log);
+        assert_eq!(seq_log, par.take_tile_records());
         assert!(seq_log.iter().all(|r| r.insertions > 0 && r.scan_end > r.scan_start));
         // Drained: a second take is empty, stats untouched by logging.
         assert!(seq.take_tile_records().is_empty());
-        assert_eq!(seq.stats(), par.stats());
+        assert_eq!(seq.stats(), plain.stats());
+        assert_eq!(seq.contacts(), plain.contacts());
     }
 
     /// Replaying a cached tile accumulates the same contacts and event

@@ -7,8 +7,7 @@ use crate::stats::RbcdStats;
 use crate::zeb::Zeb;
 use crate::ZebElement;
 use rbcd_gpu::{
-    CollisionFragment, CollisionUnit, FrameStats, FrameTrace, GpuConfig, HotPathMode, ObjectId,
-    PipelineMode, Simulator, TileCoord,
+    FrameStats, FrameTrace, GpuConfig, HotPathMode, ObjectId, PipelineMode, Simulator, TileCoord,
 };
 use rbcd_trace::TileZebRecord;
 use std::collections::BTreeSet;
@@ -122,35 +121,27 @@ impl ContactPoint {
 
 /// The RBCD unit: ZEBs + sorted insertion + Z-overlap test, with the
 /// paper's tile double-buffering timing protocol.
+///
+/// The unit holds the frame's timing state (when each ZEB and the
+/// Z-overlap unit free up) and its accumulated results. The per-tile
+/// insert + scan work runs on [`crate::ZebTileWorker`]s, each owning a
+/// private ZEB; the unit folds their results in tile order through
+/// [`rbcd_gpu::ParallelCollision`].
 #[derive(Debug)]
 pub struct RbcdUnit {
     config: RbcdConfig,
     tile_size: u32,
-    zebs: Vec<Zeb>,
+    /// Cycle at which each ZEB's last scan completes.
     zeb_free_at: Vec<u64>,
     scan_unit_free_at: u64,
-    active: Option<ActiveTile>,
-    stack: FfStack,
     stats: RbcdStats,
     contacts: Vec<ContactPoint>,
-    /// Fragments of the active tile, buffered so the degradation ladder
-    /// can re-insert them at a larger capacity if the tile overflows.
-    pending: Vec<(u32, ZebElement)>,
     /// Objects escalated to the CPU detector by ladder rung 3.
     escalated: BTreeSet<ObjectId>,
     /// Per-tile observability records, kept only while tile logging is
     /// enabled; drained by the tracing host after each frame. Pure side
     /// data: never read back into stats or timing.
     tile_log: Option<Vec<TileZebRecord>>,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct ActiveTile {
-    zeb: usize,
-    tile: TileCoord,
-    /// Cycle the tile was dispatched (`begin_tile`'s `cycle`), kept for
-    /// the tile log.
-    begin: u64,
 }
 
 impl RbcdUnit {
@@ -165,18 +156,11 @@ impl RbcdUnit {
         if tile_size == 0 {
             return Err(RbcdError::ZeroLists);
         }
-        let lists = (tile_size * tile_size) as usize;
         Ok(Self {
-            zebs: (0..config.zeb_count)
-                .map(|_| Zeb::with_spares(lists, config.list_capacity, config.spare_entries))
-                .collect::<Result<_, _>>()?,
             zeb_free_at: vec![0; config.zeb_count as usize],
             scan_unit_free_at: 0,
-            active: None,
-            stack: FfStack::new(config.ff_stack_capacity)?,
             stats: RbcdStats::default(),
             contacts: Vec::new(),
-            pending: Vec::new(),
             escalated: BTreeSet::new(),
             tile_log: None,
             config,
@@ -254,7 +238,6 @@ impl RbcdUnit {
     pub fn new_frame(&mut self) {
         self.zeb_free_at.fill(0);
         self.scan_unit_free_at = 0;
-        debug_assert!(self.active.is_none(), "new_frame during an active tile");
     }
 
     /// The tile edge length (pixels) this unit was built for.
@@ -262,17 +245,24 @@ impl RbcdUnit {
         self.tile_size
     }
 
+    /// Earliest cycle at which a ZEB is free for the next tile.
+    pub(crate) fn next_free(&self) -> u64 {
+        self.zeb_free_at.iter().copied().min().expect("at least one ZEB")
+    }
+
+    /// Cycle at which every ZEB and the Z-overlap unit are idle.
+    pub(crate) fn idle_at(&self) -> u64 {
+        let last_scan = self.zeb_free_at.iter().copied().max().expect("at least one ZEB");
+        last_scan.max(self.scan_unit_free_at)
+    }
+
     /// Merges one tile's pre-computed collision results (from a
-    /// [`crate::ZebTileWorker`]) exactly as the sequential
-    /// `begin_tile(start)` … `finish_tile(end)` bracket would:
-    /// claim the earliest-free ZEB, serialize the scan behind the single
-    /// Z-overlap unit, and accumulate the tile's stats and contacts.
-    ///
-    /// Called in tile-index order by the parallel merge, this reproduces
-    /// the sequential unit's state bit-for-bit — `zeb_free_at` and
-    /// `scan_unit_free_at` only ever change inside `finish_tile`, so the
-    /// earliest-free claim made here equals the claim `begin_tile` would
-    /// have made at dispatch time.
+    /// [`crate::ZebTileWorker`]) under the Fig. 3 protocol: the tile,
+    /// dispatched at `start` (no earlier than [`RbcdUnit::next_free`]),
+    /// claims the earliest-free ZEB; its scan starts when rasterization
+    /// ends at `end` and the single Z-overlap unit is free, and holds
+    /// the ZEB until it completes. The tile's stats and contacts
+    /// accumulate in merge (tile-index) order.
     pub(crate) fn merge_scanned_tile(
         &mut self,
         tile: TileCoord,
@@ -282,7 +272,6 @@ impl RbcdUnit {
         start: u64,
         end: u64,
     ) {
-        debug_assert!(self.active.is_none(), "merge during an active tile");
         let (zeb, &free) = self
             .zeb_free_at
             .iter()
@@ -321,7 +310,6 @@ impl RbcdUnit {
         start: u64,
         end: u64,
     ) {
-        debug_assert!(self.active.is_none(), "replay during an active tile");
         self.stats.accumulate(tile_stats);
         self.contacts.extend_from_slice(contacts);
         self.escalated.extend(escalated.iter().copied());
@@ -333,9 +321,7 @@ impl RbcdUnit {
 }
 
 /// Builds one tile's observability record from its isolated stats and
-/// timing bracket. Shared by the sequential (`finish_tile` delta) and
-/// parallel (`merge_scanned_tile` per-tile stats) paths, which
-/// therefore log identical records.
+/// timing bracket. Shared by the merge and replay paths.
 fn tile_record(
     tile: TileCoord,
     d: &RbcdStats,
@@ -420,9 +406,7 @@ fn skip_single_object_scan(list: &[ZebElement], stack: &mut FfStack, stats: &mut
 
 /// Scans every occupied list of `zeb`, pushing contacts (in occupancy
 /// order, with window-absolute coordinates) and charging scan stats;
-/// clears the ZEB and returns the scan's cycle count. Shared by the
-/// sequential [`CollisionUnit::finish_tile`] and the per-thread
-/// [`crate::ZebTileWorker`], which therefore produce identical results.
+/// clears the ZEB and returns the scan's cycle count.
 pub(crate) fn scan_zeb_tile(
     zeb: &mut Zeb,
     stack: &mut FfStack,
@@ -463,9 +447,9 @@ pub(crate) fn scan_zeb_tile(
 }
 
 /// Runs one tile's buffered fragments through the degradation ladder and
-/// scans the result, returning the scan's cycle count. Shared by the
-/// sequential [`CollisionUnit::finish_tile`] and the per-thread
-/// [`crate::ZebTileWorker`], so both paths stay bit-identical.
+/// scans the result, returning the scan's cycle count. The fragments are
+/// buffered (not inserted as they arrive) so the ladder can replay the
+/// tile's whole stream at a larger capacity.
 ///
 /// Rungs, in escalation order (§5.3 overflow handling, extended):
 ///
@@ -480,8 +464,8 @@ pub(crate) fn scan_zeb_tile(
 ///    distinct object ids are reported through `escalated` for an exact
 ///    software detector, and the best (largest-`M`) attempt is still
 ///    scanned so partial pairs are not thrown away.
-// Takes the unit's fields as split borrows so the sequential path and
-// the per-thread `ZebTileWorker` can share it without a wrapper struct.
+// Takes the worker's fields as split borrows, so a boosted tile can run
+// on a scratch ZEB and stack without a wrapper struct.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn ladder_zeb_tile(
     zeb: &mut Zeb,
@@ -554,118 +538,6 @@ fn escalate_pending(pending: &[(u32, ZebElement)], escalated: &mut Vec<ObjectId>
     escalated.extend(ids);
 }
 
-impl CollisionUnit for RbcdUnit {
-    fn next_free(&self) -> u64 {
-        self.zeb_free_at.iter().copied().min().expect("at least one ZEB")
-    }
-
-    fn begin_tile(&mut self, tile: TileCoord, cycle: u64) {
-        assert!(self.active.is_none(), "begin_tile while a tile is active");
-        let (zeb, &free) = self
-            .zeb_free_at
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, &t)| t)
-            .expect("at least one ZEB");
-        debug_assert!(
-            cycle >= free,
-            "Tile Scheduler dispatched at {cycle} before ZEB {zeb} frees at {free}"
-        );
-        debug_assert!(self.zebs[zeb].is_empty(), "claimed ZEB was not cleared");
-        self.active = Some(ActiveTile { zeb, tile, begin: cycle });
-    }
-
-    fn insert(&mut self, frag: CollisionFragment) {
-        let Some(active) = self.active else {
-            panic!("insert without an active tile");
-        };
-        // Buffered, not inserted directly: the degradation ladder may
-        // need to replay the tile's whole fragment stream at a larger
-        // capacity. The ZEB insertions (and their stats) happen in
-        // `finish_tile`, in this exact arrival order.
-        let lx = frag.x - active.tile.x * self.tile_size;
-        let ly = frag.y - active.tile.y * self.tile_size;
-        let index = ly * self.tile_size + lx;
-        self.pending.push((index, ZebElement::new(frag.z, frag.object, frag.facing)));
-    }
-
-    fn insert_batch(&mut self, frags: &[CollisionFragment]) {
-        let Some(active) = self.active else {
-            panic!("insert without an active tile");
-        };
-        // Same buffering as `insert`, one dynamic dispatch per tile
-        // instead of one per fragment.
-        let bx = active.tile.x * self.tile_size;
-        let by = active.tile.y * self.tile_size;
-        self.pending.reserve(frags.len());
-        for f in frags {
-            let index = (f.y - by) * self.tile_size + (f.x - bx);
-            self.pending.push((index, ZebElement::new(f.z, f.object, f.facing)));
-        }
-    }
-
-    fn finish_tile(&mut self, cycle: u64) {
-        let Some(active) = self.active.take() else {
-            panic!("finish_tile without an active tile");
-        };
-        self.stats.tiles += 1;
-
-        // The single Z-overlap unit serializes scans across ZEBs.
-        let scan_start = cycle.max(self.scan_unit_free_at);
-        let pending = std::mem::take(&mut self.pending);
-        let mut escalated = Vec::new();
-        // Stats snapshot for the tile log: the per-tile delta is the
-        // tile's isolated activity. `RbcdStats` is `Copy`; this costs
-        // nothing when logging is off.
-        let before = self.tile_log.is_some().then_some(self.stats);
-        let scan_cycles = ladder_zeb_tile(
-            &mut self.zebs[active.zeb],
-            &mut self.stack,
-            &self.config,
-            active.tile,
-            self.tile_size,
-            &pending,
-            &mut self.stats,
-            &mut self.contacts,
-            &mut escalated,
-        );
-        self.pending = pending;
-        self.pending.clear();
-        self.escalated.extend(escalated);
-        let scan_end = scan_start + scan_cycles;
-        self.stats.scan_cycles += scan_cycles;
-        self.scan_unit_free_at = scan_end;
-        self.zeb_free_at[active.zeb] = scan_end;
-        if let Some(log) = &mut self.tile_log {
-            let b = before.expect("snapshot taken while logging");
-            let s = &self.stats;
-            let delta = RbcdStats {
-                insertions: s.insertions - b.insertions,
-                overflows: s.overflows - b.overflows,
-                spare_allocations: s.spare_allocations - b.spare_allocations,
-                elements_scanned: s.elements_scanned - b.elements_scanned,
-                pairs_emitted: s.pairs_emitted - b.pairs_emitted,
-                ff_drops: s.ff_drops - b.ff_drops,
-                scan_skipped: s.scan_skipped - b.scan_skipped,
-                rung_spare: s.rung_spare - b.rung_spare,
-                rung_rescan: s.rung_rescan - b.rung_rescan,
-                rung_cpu: s.rung_cpu - b.rung_cpu,
-                ..RbcdStats::default()
-            };
-            log.push(tile_record(active.tile, &delta, active.begin, cycle, scan_start, scan_end));
-        }
-    }
-
-    fn idle_at(&self) -> u64 {
-        self.zeb_free_at
-            .iter()
-            .copied()
-            .max()
-            .expect("at least one ZEB")
-            .max(self.scan_unit_free_at)
-    }
-}
-
 /// Result of running one frame through the GPU with an attached RBCD
 /// unit.
 #[derive(Debug, Clone)]
@@ -728,7 +600,7 @@ fn detect_with_mode(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rbcd_gpu::{Camera, DrawCommand, Facing};
+    use rbcd_gpu::{Camera, CollisionFragment, DrawCommand, Facing, ParallelCollision};
     use rbcd_geometry::shapes;
     use rbcd_math::{Mat4, Vec3, Viewport};
 
@@ -736,12 +608,16 @@ mod tests {
         CollisionFragment { x, y, z, object: ObjectId::new(id), facing }
     }
 
+    /// Runs one tile through the unit's backend protocol: a worker
+    /// inserts and scans it, then the unit merges it dispatched at
+    /// `start` with rasterization ending at `end`.
+    fn drive(unit: &mut RbcdUnit, tile: TileCoord, frags: &[CollisionFragment], start: u64, end: u64) {
+        let out = RbcdUnit::process_tile(&mut unit.make_worker(), tile, frags);
+        unit.merge_tile(tile, out, start, end);
+    }
+
     fn drive_tile(unit: &mut RbcdUnit, frags: &[CollisionFragment], start: u64, end: u64) {
-        unit.begin_tile(TileCoord { x: 0, y: 0 }, start);
-        for f in frags {
-            unit.insert(*f);
-        }
-        unit.finish_tile(end);
+        drive(unit, TileCoord { x: 0, y: 0 }, frags, start, end);
     }
 
     #[test]
@@ -806,11 +682,8 @@ mod tests {
         assert_eq!(unit.next_free(), 0);
         // But the single scan unit serializes: a second tile finishing at
         // cycle 101 scans only after the first scan ends (116).
-        unit.begin_tile(TileCoord { x: 1, y: 0 }, 50);
-        for f in &frags {
-            unit.insert(CollisionFragment { x: f.x + 16, ..*f });
-        }
-        unit.finish_tile(101);
+        let shifted: Vec<_> = frags.iter().map(|f| CollisionFragment { x: f.x + 16, ..*f }).collect();
+        drive(&mut unit, TileCoord { x: 1, y: 0 }, &shifted, 50, 101);
         assert_eq!(unit.idle_at(), 116 + 16);
     }
 
@@ -925,13 +798,6 @@ mod tests {
         assert!(spared.pairs().is_superset(&base.pairs()));
     }
 
-    #[test]
-    #[should_panic(expected = "active")]
-    fn insert_without_tile_panics() {
-        let mut unit = RbcdUnit::new(RbcdConfig::default(), 16).unwrap();
-        unit.insert(frag(0, 0, 0.5, 1, Facing::Front));
-    }
-
     /// A deep interleaved stack at one pixel: every pair of the `n`
     /// objects overlaps in depth.
     fn deep_stack(n: u16) -> Vec<CollisionFragment> {
@@ -1012,10 +878,8 @@ mod tests {
         let mut unit = RbcdUnit::new(cfg, 16).unwrap();
         drive_tile(&mut unit, &frags, 0, 100);
         // A clean second tile for contrast.
-        unit.begin_tile(TileCoord { x: 1, y: 0 }, 1000);
-        unit.insert(frag(16, 0, 0.1, 1, Facing::Front));
-        unit.insert(frag(16, 0, 0.2, 1, Facing::Back));
-        unit.finish_tile(1100);
+        let clean = [frag(16, 0, 0.1, 1, Facing::Front), frag(16, 0, 0.2, 1, Facing::Back)];
+        drive(&mut unit, TileCoord { x: 1, y: 0 }, &clean, 1000, 1100);
         let s = unit.stats();
         assert_eq!(s.tiles, 2);
         assert_eq!(

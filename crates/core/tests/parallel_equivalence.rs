@@ -1,9 +1,10 @@
 //! Bit-identical equivalence of sequential and parallel frame execution
 //! with the real RBCD hardware model attached.
 //!
+//! `render_frame` is the 1-worker run of the tile pipeline;
 //! `render_frame_parallel` must produce exactly the same collision
 //! pairs, contact list (including order), RBCD stats, and GPU frame
-//! stats as `render_frame`, for any thread count.
+//! stats for any thread count.
 
 use rbcd_core::{RbcdConfig, RbcdUnit};
 use rbcd_geometry::shapes;
@@ -38,35 +39,45 @@ fn gpu_config() -> GpuConfig {
     GpuConfig { viewport: Viewport::new(160, 120), ..GpuConfig::default() }
 }
 
+/// One frame in RBCD and collision-only mode: frame stats, pairs,
+/// contact order, RBCD stats and the per-tile log agree at any thread
+/// count, and tile logging changes no result.
 #[test]
 fn parallel_rbcd_frame_is_bit_identical() {
     let trace = colliding_trace();
+    let run = |mode, threads: Option<usize>, logging: bool| {
+        let mut sim = Simulator::new(gpu_config());
+        let mut unit = RbcdUnit::new(RbcdConfig::default(), gpu_config().tile_size).unwrap();
+        unit.set_tile_logging(logging);
+        let stats = match threads {
+            None => sim.render_frame(&trace, mode, &mut unit),
+            Some(threads) => sim.render_frame_parallel(&trace, mode, &mut unit, threads),
+        };
+        let log = unit.take_tile_records();
+        assert!(unit.take_tile_records().is_empty(), "a take drains the log");
+        (stats, unit.pairs(), unit.contacts().to_vec(), *unit.stats(), log)
+    };
     for mode in [PipelineMode::Rbcd, PipelineMode::CollisionOnly] {
-        let mut seq_sim = Simulator::new(gpu_config());
-        let mut seq_unit = RbcdUnit::new(RbcdConfig::default(), gpu_config().tile_size).unwrap();
-        let seq_stats = seq_sim.render_frame(&trace, mode, &mut seq_unit);
+        let seq = run(mode, None, true);
+        assert!(!seq.1.is_empty(), "scene must actually collide for the test to be meaningful");
         assert!(
-            !seq_unit.pairs().is_empty(),
-            "scene must actually collide for the test to be meaningful"
+            seq.4.iter().any(|r| r.insertions > 0 && r.scan_end > r.scan_start),
+            "{mode:?}: scanned tiles are logged"
         );
-
+        let unlogged = run(mode, None, false);
+        assert!(unlogged.4.is_empty(), "{mode:?}: logging off records nothing");
+        assert_eq!(
+            (seq.0, &seq.1, &seq.2, seq.3),
+            (unlogged.0, &unlogged.1, &unlogged.2, unlogged.3),
+            "{mode:?}: logging changed a result"
+        );
         for threads in [1, 2, 4, 8] {
-            let mut par_sim = Simulator::new(gpu_config());
-            let mut par_unit = RbcdUnit::new(RbcdConfig::default(), gpu_config().tile_size).unwrap();
-            let par_stats =
-                par_sim.render_frame_parallel(&trace, mode, &mut par_unit, threads);
-            assert_eq!(seq_stats, par_stats, "FrameStats diverged at {threads} threads");
-            assert_eq!(seq_unit.pairs(), par_unit.pairs(), "pairs at {threads} threads");
-            assert_eq!(
-                seq_unit.contacts(),
-                par_unit.contacts(),
-                "contact order at {threads} threads"
-            );
-            assert_eq!(
-                seq_unit.stats(),
-                par_unit.stats(),
-                "RbcdStats at {threads} threads"
-            );
+            let par = run(mode, Some(threads), true);
+            assert_eq!(seq.0, par.0, "FrameStats diverged at {threads} threads");
+            assert_eq!(seq.1, par.1, "pairs at {threads} threads");
+            assert_eq!(seq.2, par.2, "contact order at {threads} threads");
+            assert_eq!(seq.3, par.3, "RbcdStats at {threads} threads");
+            assert_eq!(seq.4, par.4, "tile log at {threads} threads");
         }
     }
 }
@@ -74,21 +85,28 @@ fn parallel_rbcd_frame_is_bit_identical() {
 #[test]
 fn parallel_rbcd_multi_frame_warm_state_matches() {
     // Timing state (zeb_free_at / scan_unit_free_at) carries across
-    // frames; replaying three frames must stay identical throughout.
+    // frames when no `new_frame` intervenes; replaying three frames
+    // must stay identical throughout, and again after a reset.
     let trace = colliding_trace();
-    let mut seq_sim = Simulator::new(gpu_config());
-    let mut seq_unit = RbcdUnit::new(RbcdConfig::default(), gpu_config().tile_size).unwrap();
-    let mut par_sim = Simulator::new(gpu_config());
-    let mut par_unit = RbcdUnit::new(RbcdConfig::default(), gpu_config().tile_size).unwrap();
-    for frame in 0..3 {
-        let seq_stats = seq_sim.render_frame(&trace, PipelineMode::Rbcd, &mut seq_unit);
-        let par_stats =
-            par_sim.render_frame_parallel(&trace, PipelineMode::Rbcd, &mut par_unit, 4);
-        assert_eq!(seq_stats, par_stats, "frame {frame}");
-        assert_eq!(seq_unit.stats(), par_unit.stats(), "frame {frame}");
-        assert_eq!(seq_unit.contacts(), par_unit.contacts(), "frame {frame}");
-        seq_unit.new_frame();
-        par_unit.new_frame();
+    for threads in [2, 4, 8] {
+        let mut seq_sim = Simulator::new(gpu_config());
+        let mut seq_unit = RbcdUnit::new(RbcdConfig::default(), gpu_config().tile_size).unwrap();
+        let mut par_sim = Simulator::new(gpu_config());
+        let mut par_unit = RbcdUnit::new(RbcdConfig::default(), gpu_config().tile_size).unwrap();
+        for frame in 0..6 {
+            let seq_stats = seq_sim.render_frame(&trace, PipelineMode::Rbcd, &mut seq_unit);
+            let par_stats =
+                par_sim.render_frame_parallel(&trace, PipelineMode::Rbcd, &mut par_unit, threads);
+            let tag = format!("{threads} threads, frame {frame}");
+            assert_eq!(seq_stats, par_stats, "{tag}");
+            assert_eq!(seq_unit.stats(), par_unit.stats(), "{tag}");
+            assert_eq!(seq_unit.contacts(), par_unit.contacts(), "{tag}");
+            assert_eq!(seq_unit.pairs(), par_unit.pairs(), "{tag}");
+            if frame == 2 {
+                seq_unit.new_frame();
+                par_unit.new_frame();
+            }
+        }
     }
 }
 
@@ -99,9 +117,12 @@ fn parallel_oracle_matches_sequential_oracle() {
     let mut seq_sim = Simulator::new(gpu_config());
     let mut seq_unit = OracleUnit::new();
     seq_sim.render_frame(&trace, PipelineMode::Rbcd, &mut seq_unit);
-    let mut par_sim = Simulator::new(gpu_config());
-    let mut par_unit = OracleUnit::new();
-    par_sim.render_frame_parallel(&trace, PipelineMode::Rbcd, &mut par_unit, 4);
-    assert_eq!(seq_unit.pairs(), par_unit.pairs());
-    assert_eq!(seq_unit.covered_pixels(), par_unit.covered_pixels());
+    assert!(seq_unit.pairs().len() >= 2 && seq_unit.covered_pixels() > 0);
+    for threads in [2, 4, 8] {
+        let mut par_sim = Simulator::new(gpu_config());
+        let mut par_unit = OracleUnit::new();
+        par_sim.render_frame_parallel(&trace, PipelineMode::Rbcd, &mut par_unit, threads);
+        assert_eq!(seq_unit.pairs(), par_unit.pairs(), "{threads} threads");
+        assert_eq!(seq_unit.covered_pixels(), par_unit.covered_pixels(), "{threads} threads");
+    }
 }

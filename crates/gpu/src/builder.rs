@@ -9,7 +9,7 @@
 //! configurations with a typed [`GpuConfigError`].
 
 use crate::cache::CacheConfig;
-use crate::config::{GovernorConfig, GpuConfig};
+use crate::config::GpuConfig;
 use crate::policy::FramePolicy;
 use crate::sim::Simulator;
 use rbcd_math::Viewport;
@@ -120,10 +120,10 @@ impl SimulatorBuilder {
         Self { config, policy: FramePolicy::default() }
     }
 
-    /// Installs the execution policy wholesale, replacing any knobs set
-    /// so far. This is the one place reuse, tracing, the governor, and
-    /// a hot-path override are configured; the deprecated per-knob
-    /// setters below delegate into the same policy.
+    /// Installs the execution policy wholesale, replacing any policy
+    /// set so far. This is the one place reuse, tracing, the governor,
+    /// the front-end, the broad phase, and a hot-path override are
+    /// configured.
     pub fn policy(mut self, policy: FramePolicy) -> Self {
         self.policy = policy;
         self
@@ -169,42 +169,6 @@ impl SimulatorBuilder {
     /// Number of programmable vertex processors.
     pub fn vertex_processors(mut self, n: u32) -> Self {
         self.config.vertex_processors = n;
-        self
-    }
-
-    /// Enables structured tracing on the built simulator (equivalent to
-    /// [`Simulator::set_tracing`] after construction).
-    #[deprecated(
-        since = "0.1.0",
-        note = "fold the knob into a `FramePolicy` and pass it via `SimulatorBuilder::policy`"
-    )]
-    pub fn tracing(mut self, enabled: bool) -> Self {
-        self.policy.tracing = enabled;
-        self
-    }
-
-    /// Enables temporal tile coherence on the built simulator
-    /// (equivalent to [`Simulator::set_reuse`] after construction).
-    /// Only the parallel render path consults the knob; see
-    /// [`Simulator::set_reuse`] for the contract.
-    #[deprecated(
-        since = "0.1.0",
-        note = "fold the knob into a `FramePolicy` and pass it via `SimulatorBuilder::policy`"
-    )]
-    pub fn reuse(mut self, enabled: bool) -> Self {
-        self.policy.reuse = enabled;
-        self
-    }
-
-    /// Installs an overload governor on the built simulator (equivalent
-    /// to [`Simulator::set_governor`] after construction). See that
-    /// method for which render paths honour which policy rungs.
-    #[deprecated(
-        since = "0.1.0",
-        note = "fold the knob into a `FramePolicy` and pass it via `SimulatorBuilder::policy`"
-    )]
-    pub fn governor(mut self, config: Option<GovernorConfig>) -> Self {
-        self.policy.governor = config;
         self
     }
 
@@ -316,10 +280,6 @@ mod tests {
         assert!(!sim.tracing_enabled());
     }
 
-    // Deliberately exercises the deprecated per-knob setters: the
-    // compatibility contract is that they keep compiling and behave
-    // identically to the policy path.
-    #[allow(deprecated)]
     #[test]
     fn fluent_setters_apply() {
         let sim = SimulatorBuilder::new()
@@ -327,8 +287,6 @@ mod tests {
             .tile_size(8)
             .frequency_hz(100_000_000)
             .fragment_processors(2)
-            .tracing(true)
-            .reuse(true)
             .build()
             .unwrap();
         let c = sim.config();
@@ -336,8 +294,6 @@ mod tests {
         assert_eq!(c.tile_size, 8);
         assert_eq!(c.frequency_hz, 100_000_000);
         assert_eq!(c.fragment_processors, 2);
-        assert!(sim.tracing_enabled());
-        assert!(sim.reuse_enabled());
     }
 
     #[test]
@@ -388,28 +344,6 @@ mod tests {
         assert!(e.to_string().contains("mem_latency_min"));
         let e = GpuConfigError::BadCache { cache: "l2_cache", reason: "ways must be positive" };
         assert!(e.to_string().contains("l2_cache"));
-    }
-
-    #[allow(deprecated)]
-    #[test]
-    fn deprecated_setters_and_policy_build_identical_simulators() {
-        let gov = GovernorConfig { frame_budget_cycles: 9_999, ..GovernorConfig::default() };
-        let via_policy = SimulatorBuilder::new()
-            .policy(
-                FramePolicy::new().with_tracing(true).with_reuse(true).with_governor(Some(gov)),
-            )
-            .build()
-            .unwrap();
-        let via_setters = SimulatorBuilder::new()
-            .tracing(true)
-            .reuse(true)
-            .governor(Some(gov))
-            .build()
-            .unwrap();
-        assert_eq!(via_policy.tracing_enabled(), via_setters.tracing_enabled());
-        assert_eq!(via_policy.reuse_enabled(), via_setters.reuse_enabled());
-        assert_eq!(via_policy.governor(), via_setters.governor());
-        assert_eq!(via_policy.config(), via_setters.config());
     }
 
     #[test]

@@ -14,15 +14,25 @@
 //!   Processors shade the survivors into on-chip colour/Z buffers.
 //!
 //! The RBCD unit itself lives in the `rbcd-core` crate and attaches to the
-//! rasterizer through the [`CollisionUnit`] trait, exactly mirroring the
+//! rasterizer through the [`ParallelCollision`] trait, mirroring the
 //! paper's integration point (Figure 3): the rasterizer forwards every
 //! *collisionable* fragment — including tagged-to-be-culled ones — to the
 //! unit, while only non-culled fragments proceed to Early-Z.
 //!
+//! Every frame runs through one pipeline, [`render_batch`]: geometry,
+//! then a plan / compute / merge split of the Raster Pipeline whose
+//! compute phase may use worker threads. [`Simulator::render_frame`] and
+//! [`Simulator::render_frame_parallel`] are one-job batches, so every
+//! knob means the same thing at every entry point and results are
+//! bit-identical at any thread count.
+//!
 //! Timing is throughput/latency-approximate rather than RTL-accurate: per
 //! pipeline stage the simulator counts work items against the stage
-//! throughputs of the paper's Table 1 and models the ZEB double-buffering
-//! stall between the Tile Scheduler and the Z-overlap scan. Energy is
+//! throughputs of the paper's Table 1. The Fig. 3 handshake between the
+//! Tile Scheduler and the Z-overlap scan is replayed in the merge phase:
+//! each tile waits for the backend's `next_free` ZEB, `merge_tile`
+//! claims it and serializes the tile's scan, and `idle_at` ends the
+//! frame once the last scan drains. Energy is
 //! `Σ events × per-event energy + leakage × cycles`, with the same
 //! component itemisation the paper used with McPAT (§4.1).
 //!
@@ -39,6 +49,11 @@
 //! let trace = FrameTrace::new(camera, vec![DrawCommand::scenery(shapes::cube(1.0))]);
 //! let stats = sim.render_frame(&trace, PipelineMode::Baseline, &mut rbcd_gpu::NullCollisionUnit);
 //! assert!(stats.raster.fragments_rasterized > 0);
+//! // The same frame over four worker threads: bit-identical.
+//! let mut sim4 = Simulator::new(sim.config().clone());
+//! let mut backend = rbcd_gpu::NullCollisionUnit;
+//! let stats4 = sim4.render_frame_parallel(&trace, PipelineMode::Baseline, &mut backend, 4);
+//! assert_eq!(stats, stats4);
 //! ```
 
 #![warn(missing_docs)]
@@ -65,7 +80,7 @@ pub use broadphase::BroadPhase;
 pub use builder::{GpuConfigError, SimulatorBuilder};
 pub use cache::{CacheConfig, CacheModel, CacheStats};
 pub use clip::clip_near;
-pub use collision_unit::{CollisionFragment, CollisionUnit, NullCollisionUnit, TileCoord};
+pub use collision_unit::{CollisionFragment, NullCollisionUnit, TileCoord};
 pub use command::{
     Camera, CullMode, DrawCommand, Facing, FrameTrace, ObjectId, SceneError, ShaderCost,
 };

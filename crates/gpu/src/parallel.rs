@@ -1,47 +1,48 @@
-//! Parallel tile-pipeline execution with a deterministic merge.
+//! The tile pipeline's three phases and its collision-backend trait.
 //!
 //! Tiles are the natural work unit of a tile-based GPU: after binning,
 //! each tile's rasterization, Early-Z, and collision analysis touch
-//! only private state. [`Simulator::render_frame_parallel`] exploits
-//! this with a scoped worker pool (`std::thread::scope`; no external
+//! only private state. Every frame — solo through
+//! [`Simulator::render_frame`] / [`Simulator::render_frame_parallel`],
+//! or batched with other sessions — runs as one
+//! [`render_batch`](crate::render_batch) call that sequences three
+//! phases over a scoped worker pool (`std::thread::scope`; no external
 //! dependencies):
 //!
 //! 1. **Plan phase** (`plan_raster`) — the main thread computes the
-//!    temporal-coherence reuse plan and the governor's coarsening plan
-//!    from the binned frame alone, so both are thread-count invariant
-//!    by construction.
-//! 2. **Compute phase** — workers claim tiles from the shared binned
-//!    list via an atomic cursor. Each worker owns a private
-//!    [`TileWorker`] (z-buffer + fragment scratch) and a private
+//!    broad-phase skip mask, the temporal-coherence reuse plan and the
+//!    governor's coarsening plan from the binned frame alone, so all
+//!    three are thread-count invariant by construction.
+//! 2. **Compute phase** — each active tile is processed through
+//!    [`TileComputeCtx`], an immutable `Sync` view of the planned frame:
+//!    a [`TileWorker`] (z-buffer + fragment scratch) rasterizes it and a
 //!    collision worker ([`ParallelCollision::Worker`], e.g. a software
-//!    ZEB + FF-Stack), and produces an *owned* per-tile result. The
-//!    per-tile step is exposed through [`TileComputeCtx`], an immutable
-//!    `Sync` view of the planned frame, so the service layer
-//!    (`crate::service`) can interleave tiles from *many* sessions on
-//!    one pool without touching any session's mutable state.
+//!    ZEB + FF-Stack) analyses it, producing an *owned* per-tile result.
+//!    Tiles run on the calling thread at one worker, or are claimed from
+//!    a shared work list through an atomic cursor.
 //! 3. **Merge phase** (`merge_raster`) — the main thread walks tiles in
-//!    ascending tile index (exactly the sequential processing order),
-//!    replays the shared tile-cache accesses, folds per-tile stats, and
-//!    replays the timing protocol (ZEB claim, scan-unit serialization)
-//!    against the backend.
+//!    ascending tile index, replays the shared tile-cache accesses,
+//!    folds per-tile stats, applies the governor's shed rung, and
+//!    replays the Fig. 3 timing protocol (ZEB claim, scan-unit
+//!    serialization) against the backend.
 //!
 //! Everything order-dependent — cache hit/miss sequences, the cycle
 //! timeline, ZEB double-buffer claims, contact emission order — happens
 //! only in the merge phase, in tile-index order. Per-tile work is
 //! order-free (each tile starts from a cleared z-buffer and an empty
-//! ZEB). Parallel runs are therefore **bit-identical** to sequential
-//! runs for any thread count — and, because every phase reads and
-//! writes only one simulator's state, a frame rendered through the
-//! batch service is bit-identical to the same frame rendered solo.
+//! ZEB). Results are therefore **bit-identical** for any thread count —
+//! and, because every phase reads and writes only one simulator's
+//! state, a frame rendered in a batch is bit-identical to the same frame
+//! rendered solo.
 
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crate::broadphase::{self, BroadPhase};
 use crate::coherence;
 use crate::collision_unit::{CollisionFragment, NullCollisionUnit, TileCoord};
 use crate::command::{FrameTrace, ObjectId};
 use crate::config::GpuConfig;
+use crate::service::{render_batch, BatchJob};
 use crate::sim::{
     accumulate_reused_tile, accumulate_tile, finalize_raster_timing, replay_tile_cache,
     BinnedTiles, GovernorFrameReport, PipelineMode, Simulator, TileRasterOut, TileWorker,
@@ -51,17 +52,18 @@ use crate::stats::{BroadphaseStats, CoherenceStats, FrameStats, RasterStats};
 /// A collision backend whose per-tile analysis can run on worker
 /// threads, with results merged deterministically in tile order.
 ///
-/// This is the parallel counterpart of [`crate::CollisionUnit`]: the
-/// sequential trait interleaves `begin_tile` / `insert` / `finish_tile`
-/// with rasterization, while this one splits the work into an
-/// order-free compute half (`Worker` + [`ParallelCollision::process_tile`])
-/// and an order-dependent timing/accumulation half
-/// ([`ParallelCollision::merge_tile`], called in tile-index order).
+/// The work splits into an order-free compute half (`Worker` +
+/// [`ParallelCollision::process_tile`]) and an order-dependent
+/// timing/accumulation half ([`ParallelCollision::merge_tile`], called in
+/// tile-index order). The merge half is the paper's Fig. 3 protocol: the
+/// Tile Scheduler dispatches a tile no earlier than
+/// [`ParallelCollision::next_free`], `merge_tile` brackets it with its
+/// dispatch and raster-completion cycles, and
+/// [`ParallelCollision::idle_at`] closes the frame.
 ///
-/// Implementations must guarantee: driving `process_tile` on any
-/// worker and then `merge_tile` in tile order leaves the backend in
-/// exactly the state the sequential [`crate::CollisionUnit`] calls
-/// would have produced.
+/// Implementations must guarantee that a tile's `process_tile` result
+/// does not depend on which worker ran it or what that worker ran
+/// before, so a frame's results are the same at any thread count.
 pub trait ParallelCollision {
     /// Per-thread collision state (e.g. one software ZEB + FF-Stack).
     type Worker: Send;
@@ -74,8 +76,7 @@ pub trait ParallelCollision {
     fn make_worker(&self) -> Self::Worker;
 
     /// Analyses one tile's collisionable fragments on a worker thread.
-    /// `frags` arrive in the exact order the sequential pipeline would
-    /// insert them.
+    /// `frags` arrive in rasterization order.
     fn process_tile(
         worker: &mut Self::Worker,
         tile: TileCoord,
@@ -99,17 +100,18 @@ pub trait ParallelCollision {
     }
 
     /// Earliest cycle at which a ZEB is free — the merge phase's tile
-    /// dispatch gate, identical to [`crate::CollisionUnit::next_free`].
+    /// dispatch gate. When it lies past the timeline cursor, the Raster
+    /// Pipeline stalls until then (single-ZEB behaviour, §3.5).
     fn next_free(&self) -> u64;
 
     /// Folds one tile's result into the backend. Called in ascending
     /// tile-index order with the tile's dispatch (`start`) and raster
-    /// completion (`end`) cycles, mirroring the sequential
-    /// `begin_tile(start)` … `finish_tile(end)` bracket.
+    /// completion (`end`) cycles: the backend claims a ZEB at `start`
+    /// and schedules the tile's Z-overlap scan from `end`.
     fn merge_tile(&mut self, tile: TileCoord, out: Self::TileOut, start: u64, end: u64);
 
-    /// Cycle at which all backend activity has drained, identical to
-    /// [`crate::CollisionUnit::idle_at`].
+    /// Cycle at which all backend activity (including the last scan)
+    /// has drained.
     fn idle_at(&self) -> u64;
 
     /// Folds a *cached* tile result back into the backend when the
@@ -227,12 +229,11 @@ impl TileComputeCtx<'_> {
 
 impl Simulator {
     /// Renders one frame using up to `threads` worker threads for the
-    /// raster pipeline, producing results **bit-identical** to
-    /// [`Simulator::render_frame`] with the corresponding sequential
-    /// unit — same frame statistics, same cache stats, same cycle
-    /// counts, same contacts in the same order — for any thread count.
+    /// tile compute phase: a one-job [`render_batch`]. Results — frame
+    /// statistics, cache stats, cycle counts, contacts and their order —
+    /// are **bit-identical** for any thread count.
     ///
-    /// `threads == 1` (or a frame with a single active tile) runs
+    /// `threads <= 1` (or a frame with a single active tile) runs
     /// inline on the calling thread with no pool overhead.
     pub fn render_frame_parallel<B: ParallelCollision>(
         &mut self,
@@ -241,23 +242,8 @@ impl Simulator {
         backend: &mut B,
         threads: usize,
     ) -> FrameStats {
-        let geometry = self.geometry_pipeline_with(trace, mode, threads);
-        let co = self.plan_raster(trace, mode, &*backend);
-        let slots = self.compute_raster(trace, mode, &*backend, threads.max(1));
-        let (raster, coherence) = self.merge_raster(trace, backend, slots, co);
-        let governor = self.governor_frame_stats();
-        let stats = FrameStats {
-            geometry,
-            raster,
-            coherence,
-            governor,
-            broadphase: self.broadphase_frame_stats(),
-            frames: 1,
-        };
-        if let Some(t) = self.tracer.as_deref_mut() {
-            t.end_frame(stats.total_cycles());
-        }
-        stats
+        let mut job = [BatchJob { sim: self, backend, trace, mode }];
+        render_batch(&mut job, threads).expect("tile worker panicked")[0]
     }
 
     /// Plan phase: temporal-coherence reuse decisions and the
@@ -398,85 +384,8 @@ impl Simulator {
         }
     }
 
-    /// Compute phase for the solo render path: owned per-tile results,
-    /// indexed by position in the active list. Tiles the plan marks
-    /// reused are skipped — no worker ever touches them.
-    fn compute_raster<B: ParallelCollision>(
-        &mut self,
-        trace: &FrameTrace,
-        mode: PipelineMode,
-        backend: &B,
-        threads: usize,
-    ) -> Vec<Option<(TileRasterOut, B::TileOut)>> {
-        // Lend out the resident worker (no per-frame allocation on the
-        // inline path) while the compute context borrows the rest of
-        // the simulator immutably.
-        let mut tw = std::mem::replace(&mut self.worker, TileWorker::empty());
-        let slots;
-        {
-            let ctx = self.compute_ctx(trace, mode);
-            let n = ctx.tiles();
-            if threads <= 1 || n <= 1 {
-                let mut inline = Vec::with_capacity(n);
-                let mut cw = backend.make_worker();
-                for k in 0..n {
-                    inline.push(ctx.compute_tile::<B>(k, &mut tw, &mut cw));
-                }
-                slots = inline;
-            } else {
-                let mut pooled: Vec<Option<(TileRasterOut, B::TileOut)>> = Vec::new();
-                pooled.resize_with(n, || None);
-                let next = AtomicUsize::new(0);
-                // Workers are created up front on this thread:
-                // `make_worker` borrows the backend, which must not be
-                // shared with the pool (merge needs it mutably
-                // afterwards).
-                let col_workers: Vec<B::Worker> =
-                    (0..threads).map(|_| backend.make_worker()).collect();
-                let ctx = &ctx;
-                let results: Vec<Vec<(usize, TileRasterOut, B::TileOut)>> =
-                    std::thread::scope(|s| {
-                        let handles: Vec<_> = col_workers
-                            .into_iter()
-                            .map(|mut cw| {
-                                let next = &next;
-                                s.spawn(move || {
-                                    let mut tw = TileWorker::new(ctx.config());
-                                    let mut done = Vec::new();
-                                    loop {
-                                        let k = next.fetch_add(1, Ordering::Relaxed);
-                                        if k >= ctx.tiles() {
-                                            break;
-                                        }
-                                        if let Some((out, cout)) =
-                                            ctx.compute_tile::<B>(k, &mut tw, &mut cw)
-                                        {
-                                            done.push((k, out, cout));
-                                        }
-                                    }
-                                    done
-                                })
-                            })
-                            .collect();
-                        handles
-                            .into_iter()
-                            .map(|h| h.join().expect("tile worker panicked"))
-                            .collect()
-                    });
-                for batch in results {
-                    for (k, out, cout) in batch {
-                        pooled[k] = Some((out, cout));
-                    }
-                }
-                slots = pooled;
-            }
-        }
-        self.worker = tw;
-        slots
-    }
-
-    /// Merge phase: tile-index order replays the sequential timeline
-    /// and the shared tile cache's access sequence exactly. Reused
+    /// Merge phase: tile-index order replays the frame's timeline and
+    /// the shared tile cache's access sequence exactly. Reused
     /// tiles pull their cached outcome instead of a slot; freshly
     /// computed tiles refresh the cache for the next frame. Under a
     /// governor budget, tiles past the deadline are shed (policy
@@ -678,10 +587,12 @@ mod tests {
         GpuConfig { viewport: Viewport::new(128, 96), ..GpuConfig::default() }
     }
 
+    /// Every thread count reproduces the sequential (1-worker)
+    /// `render_frame` run in every pipeline mode.
     #[test]
     fn parallel_null_matches_sequential() {
+        let trace = busy_trace();
         for mode in [PipelineMode::Baseline, PipelineMode::Rbcd, PipelineMode::CollisionOnly] {
-            let trace = busy_trace();
             let mut seq_sim = Simulator::new(cfg());
             let seq = seq_sim.render_frame(&trace, mode, &mut NullCollisionUnit);
             for threads in [1, 2, 4, 8] {
@@ -697,19 +608,21 @@ mod tests {
     fn parallel_warm_caches_match_sequential() {
         // Cache stats are order-dependent and persist across frames;
         // the merge-phase replay must keep multi-frame warm-cache runs
-        // identical too.
+        // identical at any thread count, in every mode.
         let trace = busy_trace();
-        let mut seq_sim = Simulator::new(cfg());
-        let mut par_sim = Simulator::new(cfg());
-        for frame in 0..3 {
-            let seq = seq_sim.render_frame(&trace, PipelineMode::Rbcd, &mut NullCollisionUnit);
-            let par = par_sim.render_frame_parallel(
-                &trace,
-                PipelineMode::Rbcd,
-                &mut NullCollisionUnit,
-                4,
-            );
-            assert_eq!(seq, par, "frame {frame}");
+        for mode in [PipelineMode::Baseline, PipelineMode::Rbcd, PipelineMode::CollisionOnly] {
+            let mut seq_sim = Simulator::new(cfg());
+            let reference: Vec<FrameStats> = (0..3)
+                .map(|_| seq_sim.render_frame(&trace, mode, &mut NullCollisionUnit))
+                .collect();
+            for threads in [2, 4, 8] {
+                let mut par_sim = Simulator::new(cfg());
+                for (frame, want) in reference.iter().enumerate() {
+                    let got =
+                        par_sim.render_frame_parallel(&trace, mode, &mut NullCollisionUnit, threads);
+                    assert_eq!(got, *want, "mode {mode:?}, {threads} threads, frame {frame}");
+                }
+            }
         }
     }
 
@@ -723,9 +636,6 @@ mod tests {
         assert_eq!(a, b);
     }
 
-    // Deliberately keeps the deprecated `.tracing(true)` setter: the
-    // compatibility contract says it must keep behaving identically.
-    #[allow(deprecated)]
     #[test]
     fn tracing_never_changes_results_and_is_thread_invariant() {
         let trace = busy_trace();
@@ -735,7 +645,7 @@ mod tests {
         let mut events_by_threads = Vec::new();
         for threads in [1, 2, 4] {
             let mut traced = crate::SimulatorBuilder::from_config(cfg())
-                .tracing(true)
+                .policy(crate::FramePolicy::new().with_tracing(true))
                 .build()
                 .unwrap();
             let stats = traced.render_frame_parallel(

@@ -1,22 +1,26 @@
 //! The batch render service: many sessions' frames over one worker pool.
 //!
-//! [`render_batch`] is the GPU-side half of the multi-session scheduler
-//! (`rbcd_core::sched`). It takes one frame from each of N independent
+//! [`render_batch`] is the one place a frame is sequenced: geometry,
+//! plan, compute, merge, [`FrameStats`]. Solo rendering
+//! ([`Simulator::render_frame_parallel`], and [`Simulator::render_frame`]
+//! at one worker) is a one-job batch; the multi-session scheduler
+//! (`rbcd_core::sched`) submits one frame from each of N independent
 //! sessions — each a [`BatchJob`] wrapping its own [`Simulator`] and
 //! collision backend — and drives all of them through the three-phase
-//! parallel pipeline of [`crate::render_frame_parallel`]
-//! with a *single* scoped thread pool:
+//! pipeline of `crate::parallel` with a *single* scoped thread pool:
 //!
 //! 1. **Plan** — each session's geometry pipeline and raster plan run
 //!    sequentially on the calling thread, in submission order. Plans
 //!    depend only on the session's own state, never on the pool.
 //! 2. **Compute** — every live session exposes an immutable
-//!    [`TileComputeCtx`](crate::parallel); their tiles are interleaved
-//!    round-robin by tile position into one work list that workers
-//!    drain via an atomic cursor. Per-tile work is order-free and
-//!    session-private (each worker keeps one raster scratch and one
-//!    collision worker *per session*), so the interleaving affects only
-//!    wall-clock, never results.
+//!    [`TileComputeCtx`](crate::parallel). At one worker the calling
+//!    thread processes each session's tiles with that simulator's
+//!    resident raster worker. Otherwise the sessions' tiles are
+//!    interleaved round-robin by tile position into one work list that
+//!    pool workers drain via an atomic cursor. Per-tile work is
+//!    order-free and session-private (each worker keeps one raster
+//!    scratch and one collision worker *per session*), so the
+//!    interleaving affects only wall-clock, never results.
 //! 3. **Merge** — each session's results are folded back on its own
 //!    sequential timeline, in submission order, in tile-index order.
 //!
@@ -61,8 +65,7 @@ impl Error for ServiceError {}
 
 /// One session's frame submission: the session-owned simulator and
 /// collision backend, plus the frame to render. The service mutates
-/// both exactly as a solo [`Simulator::render_frame_parallel`] call
-/// would.
+/// both exactly as rendering the job alone would.
 #[must_use = "a BatchJob does nothing until passed to render_batch"]
 pub struct BatchJob<'a, B: ParallelCollision> {
     /// The session's GPU simulator (coherence caches, governor state,
@@ -79,11 +82,12 @@ pub struct BatchJob<'a, B: ParallelCollision> {
 /// Renders one frame for every job over a shared pool of `workers`
 /// threads, returning per-job frame statistics in submission order.
 ///
-/// Equivalent to calling `render_frame_parallel` on each job in order —
-/// bit-identically so, for any `workers` — except that the compute
-/// phases overlap: a single tile work list interleaves all jobs' tiles
-/// round-robin, so one session's long tail doesn't idle the pool while
-/// another session still has tiles to grind.
+/// Each job's results are bit-identical to rendering it alone (a
+/// one-job batch, which is what [`Simulator::render_frame_parallel`]
+/// is), for any `workers`; only the compute phases overlap: a single
+/// tile work list interleaves all jobs' tiles round-robin, so one
+/// session's long tail doesn't idle the pool while another session
+/// still has tiles to grind.
 pub fn render_batch<B: ParallelCollision>(
     jobs: &mut [BatchJob<'_, B>],
     workers: usize,
@@ -94,12 +98,21 @@ pub fn render_batch<B: ParallelCollision>(
     let mut geoms = Vec::with_capacity(jobs.len());
     let mut cos = Vec::with_capacity(jobs.len());
     for job in jobs.iter_mut() {
-        geoms.push(job.sim.geometry_pipeline_with(job.trace, job.mode, workers));
+        geoms.push(job.sim.geometry_pipeline(job.trace, job.mode, workers));
         cos.push(job.sim.plan_raster(job.trace, job.mode, &*job.backend));
     }
 
-    // Phase 2: one interleaved work list across all sessions, drained
-    // by the shared pool. Results land in per-session slot vectors.
+    // Phase 2: compute every planned tile. Results land in per-session
+    // slot vectors, indexed by active-list position.
+    let n_tiles: usize = jobs.iter().map(|j| j.sim.bins.active().len()).sum();
+    let inline = workers <= 1 || n_tiles <= 1;
+    // Inline, each simulator lends out its resident raster worker, so a
+    // steady-state solo frame allocates no z-buffer.
+    let mut resident: Vec<TileWorker> = if inline {
+        jobs.iter_mut().map(|j| std::mem::replace(&mut j.sim.worker, TileWorker::empty())).collect()
+    } else {
+        Vec::new()
+    };
     let mut slots: Vec<Vec<Option<(_, B::TileOut)>>> = Vec::with_capacity(jobs.len());
     {
         let ctxs: Vec<_> = jobs.iter().map(|j| j.sim.compute_ctx(j.trace, j.mode)).collect();
@@ -108,35 +121,29 @@ pub fn render_batch<B: ParallelCollision>(
             v.resize_with(ctx.tiles(), || None);
             slots.push(v);
         }
-        // Round-robin by tile position: (session, tile) pairs cycle
-        // through the sessions so every session makes progress at the
-        // same rate regardless of scene size (fairness), and the claim
-        // order is deterministic even though completion order is not.
-        let max_tiles = ctxs.iter().map(|c| c.tiles()).max().unwrap_or(0);
-        let mut items: Vec<(u32, u32)> = Vec::new();
-        for pos in 0..max_tiles {
-            for (ji, ctx) in ctxs.iter().enumerate() {
-                if pos < ctx.tiles() {
-                    items.push((ji as u32, pos as u32));
+
+        if inline {
+            for (ji, (ctx, tw)) in ctxs.iter().zip(&mut resident).enumerate() {
+                let mut cw = jobs[ji].backend.make_worker();
+                for (k, slot) in slots[ji].iter_mut().enumerate() {
+                    *slot = ctx.compute_tile::<B>(k, tw, &mut cw);
                 }
             }
-        }
-
-        if workers <= 1 || items.len() <= 1 {
-            // Inline on the calling thread: one collision worker per
-            // session (created eagerly — cheap), one raster scratch per
-            // session (created lazily — a z-buffer allocation).
-            let mut cws: Vec<B::Worker> =
-                jobs.iter().map(|j| j.backend.make_worker()).collect();
-            let mut tws: Vec<Option<TileWorker>> = Vec::new();
-            tws.resize_with(jobs.len(), || None);
-            for &(ji, k) in &items {
-                let (ji, k) = (ji as usize, k as usize);
-                let ctx = &ctxs[ji];
-                let tw = tws[ji].get_or_insert_with(|| TileWorker::new(ctx.config()));
-                slots[ji][k] = ctx.compute_tile::<B>(k, tw, &mut cws[ji]);
-            }
         } else {
+            // Round-robin by tile position: (session, tile) pairs cycle
+            // through the sessions so every session makes progress at
+            // the same rate regardless of scene size (fairness), and the
+            // claim order is deterministic even though completion order
+            // is not.
+            let max_tiles = ctxs.iter().map(|c| c.tiles()).max().unwrap_or(0);
+            let mut items: Vec<(u32, u32)> = Vec::with_capacity(n_tiles);
+            for pos in 0..max_tiles {
+                for (ji, ctx) in ctxs.iter().enumerate() {
+                    if pos < ctx.tiles() {
+                        items.push((ji as u32, pos as u32));
+                    }
+                }
+            }
             // Each pool thread owns one collision worker per session
             // (collision workers are not shareable across sessions: a
             // backend's worker may be sized by its config) plus lazy
@@ -185,6 +192,9 @@ pub fn render_batch<B: ParallelCollision>(
                 }
             }
         }
+    }
+    for (job, tw) in jobs.iter_mut().zip(resident) {
+        job.sim.worker = tw;
     }
 
     // Phase 3: merge every session, sequentially, in submission order.
