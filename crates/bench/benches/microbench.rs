@@ -16,8 +16,9 @@ use rbcd_core::{
 use rbcd_cpu_cd::{gjk, CdBody, Cost, CpuCollisionDetector, Phase};
 use rbcd_geometry::{hull, intersect, shapes};
 use rbcd_gpu::{
-    rasterize_triangle_in_tile, Facing, GpuConfig, NullCollisionUnit, ObjectId, ParallelCollision,
-    PipelineMode, ScreenTriangle, Simulator, TileCoord,
+    rasterize_triangle_in_tile, Facing, FramePolicy, FrameTrace, FrontendMode, GpuConfig,
+    NullCollisionUnit, ObjectId, ParallelCollision, PipelineMode, ScreenTriangle, Simulator,
+    SimulatorBuilder, TileCoord,
 };
 use rbcd_math::{Mat4, Vec3, Viewport};
 use std::hint::black_box;
@@ -192,6 +193,43 @@ fn bench_full_frame() {
     }
 }
 
+/// One incremental-front-end frame of a miss-heavy scene on a
+/// simulator whose geometry cache is already full, so every missed draw
+/// evicts. `meadow` dollies its camera, so every draw misses on every
+/// frame; cycling a clip of twice as many draws as the cache holds
+/// keeps every timed frame in that steady state. A per-miss cost that
+/// grows with the cache's capacity shows up here first.
+fn bench_frame_incremental_full_geom_cache() {
+    const CACHE_DRAWS: usize = 4096;
+    let scene = rbcd_workloads::meadow();
+    let gpu = GpuConfig { viewport: Viewport::new(320, 200), ..GpuConfig::default() };
+    let draws = scene.frame_trace(0).draws.len();
+    let clip: Vec<FrameTrace> =
+        (0..2 * CACHE_DRAWS / draws).map(|f| scene.frame_trace(f)).collect();
+    let mut sim = SimulatorBuilder::from_config(gpu.clone())
+        .policy(FramePolicy::new().with_frontend(FrontendMode::Incremental))
+        .build()
+        .unwrap();
+    sim.set_geom_cache_capacity(CACHE_DRAWS);
+    let mut unit = RbcdUnit::new(RbcdConfig::default(), gpu.tile_size).unwrap();
+    let mut frames = clip.iter().cycle();
+    let mut render = |trace: &FrameTrace| {
+        unit.new_frame();
+        let stats = sim.render_frame(trace, PipelineMode::Rbcd, &mut unit);
+        unit.take_contacts();
+        stats
+    };
+    for trace in frames.by_ref().take(clip.len()) {
+        render(trace);
+    }
+    bench("frame_incremental_full_geom_cache", || {
+        let stats = render(black_box(frames.next().unwrap()));
+        assert_eq!(stats.geometry.reuse_draws, 0, "every draw must miss");
+        stats
+    });
+    assert_eq!(sim.geom_cache_len(), CACHE_DRAWS, "the cache must stay full");
+}
+
 /// The RBCD unit in isolation: insert + scan a dense tile.
 fn bench_rbcd_unit_tile() {
     let frags: Vec<_> = (0..1024)
@@ -222,5 +260,6 @@ fn main() {
     bench_rasterizer();
     bench_tri_tri();
     bench_full_frame();
+    bench_frame_incremental_full_geom_cache();
     bench_rbcd_unit_tile();
 }

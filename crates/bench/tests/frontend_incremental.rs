@@ -196,31 +196,35 @@ fn incremental_matches_rebuild_under_a_governed_budget() {
     }
 }
 
+/// Renders a script on one incremental-front-end simulator whose
+/// geometry cache is bounded to `capacity` draws, checking the bound
+/// after every frame.
+fn run_capped(script: &[FrameTrace], capacity: usize) -> (Vec<FrameStats>, BTreeSet<ObjectPair>) {
+    let mut sim = SimulatorBuilder::from_config(cfg())
+        .policy(FramePolicy::new().with_frontend(FrontendMode::Incremental))
+        .build()
+        .unwrap();
+    sim.set_geom_cache_capacity(capacity);
+    let mut unit = RbcdUnit::new(RbcdConfig::default(), cfg().tile_size).unwrap();
+    let mut frames = Vec::new();
+    let mut pairs = BTreeSet::new();
+    for trace in script {
+        unit.new_frame();
+        frames.push(sim.render_frame_parallel(trace, PipelineMode::Rbcd, &mut unit, 1));
+        for c in unit.take_contacts() {
+            pairs.insert(c.object_pair());
+        }
+        assert!(sim.geom_cache_len() <= capacity, "cache exceeded its bound");
+    }
+    (frames, pairs)
+}
+
 #[test]
 fn bounded_cache_evicts_without_changing_results() {
     let script = random_script(23, 4);
     let (base, base_pairs) = run_script(&script, FrontendMode::Rebuild, 1, false, None, None);
-    let run_capped = |capacity: usize| {
-        let mut sim = SimulatorBuilder::from_config(cfg())
-            .policy(FramePolicy::new().with_frontend(FrontendMode::Incremental))
-            .build()
-            .unwrap();
-        sim.set_geom_cache_capacity(capacity);
-        let mut unit = RbcdUnit::new(RbcdConfig::default(), cfg().tile_size).unwrap();
-        let mut frames = Vec::new();
-        let mut pairs = BTreeSet::new();
-        for trace in &script {
-            unit.new_frame();
-            frames.push(sim.render_frame_parallel(trace, PipelineMode::Rbcd, &mut unit, 1));
-            for c in unit.take_contacts() {
-                pairs.insert(c.object_pair());
-            }
-            assert!(sim.geom_cache_len() <= capacity, "cache exceeded its bound");
-        }
-        (frames, pairs)
-    };
-    let (roomy, roomy_pairs) = run_capped(64);
-    let (tiny, tiny_pairs) = run_capped(2);
+    let (roomy, roomy_pairs) = run_capped(&script, 64);
+    let (tiny, tiny_pairs) = run_capped(&script, 2);
     for (f, (a, b)) in base.iter().zip(&roomy).enumerate() {
         assert_eq!(*a, no_geom_accounting(b.clone()), "roomy cache diverged at frame {f}");
     }
@@ -238,4 +242,28 @@ fn bounded_cache_evicts_without_changing_results() {
             > roomy.iter().map(|s| s.geometry.shaded_draws).sum::<u64>(),
         "evicted draws must be re-shaded"
     );
+}
+
+/// Pins which draw each eviction removes: per-frame `(reuse_draws,
+/// shaded_draws)` over `random_script(11, 8)` at bounded capacities.
+/// Below the six-draw cast's size, every frame's hit/miss split depends
+/// on the exact victim sequence: evicting in insertion order instead of
+/// recency order, for one, moves the capacity-5 row from frame 2 on.
+#[test]
+fn eviction_accounting_matches_goldens() {
+    let goldens: [(usize, [(u64, u64); 8]); 3] = [
+        (2, [(0, 6), (2, 4), (1, 5), (1, 5), (2, 4), (1, 5), (2, 4), (1, 5)]),
+        (3, [(0, 6), (2, 4), (1, 5), (2, 4), (2, 4), (2, 4), (2, 4), (2, 4)]),
+        (5, [(0, 6), (4, 2), (4, 2), (2, 4), (3, 3), (4, 2), (4, 2), (3, 3)]),
+    ];
+    let script = random_script(11, 8);
+    for (capacity, golden) in goldens {
+        let (frames, _) = run_capped(&script, capacity);
+        let accounting: Vec<(u64, u64)> =
+            frames.iter().map(|s| (s.geometry.reuse_draws, s.geometry.shaded_draws)).collect();
+        assert_eq!(
+            accounting, golden,
+            "capacity {capacity}: per-frame (reuse_draws, shaded_draws) moved"
+        );
+    }
 }

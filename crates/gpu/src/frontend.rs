@@ -56,7 +56,7 @@ use crate::config::GpuConfig;
 use crate::raster::ScreenTriangle;
 use crate::sim::PipelineMode;
 use rbcd_math::{viewport as viewport_map, Mat4, Vec4};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 /// Which geometry front-end arrangement the simulator runs.
@@ -76,9 +76,11 @@ pub enum FrontendMode {
 
 /// Default bound on cached draws per simulator. Each entry holds one
 /// draw's surviving screen triangles and tile lists — small next to the
-/// frame's own binning buffers — so the default is generous; it exists
-/// to bound memory on pathological workloads (e.g. a fault storm
-/// minting endless unique draws), not to be hit by real scenes.
+/// frame's own binning buffers. Every moving draw mints a new key each
+/// frame, so on any workload with motion (a moving camera, moving
+/// bodies, a fault storm) the cache fills within a few dozen frames and
+/// stays full: in steady state every miss evicts, which is why eviction
+/// is O(log n) (see [`GeomCache`]).
 pub(crate) const DEFAULT_GEOM_CACHE_DRAWS: usize = 4096;
 
 /// One surviving (binned) triangle of a cached draw, in emission order.
@@ -230,11 +232,22 @@ struct GeomEntry {
 /// Bounded LRU cache of per-draw geometry, keyed by
 /// `mix(geom_seed, draw_content_hash)`. Recency is a monotonic stamp
 /// (no wall clock), and eviction removes the unique minimum stamp, so
-/// the cache's behaviour is fully deterministic despite the hash map's
-/// unspecified iteration order. Eviction can never change results —
-/// an evicted draw simply misses and is shaded from scratch.
+/// the cache's behaviour is fully deterministic. Eviction can never
+/// change results — an evicted draw simply misses and is shaded from
+/// scratch.
+///
+/// In steady state the cache is full on every workload with moving
+/// draws, so every miss evicts. A recency index keeps that cheap: a
+/// touch re-files one index entry under its new stamp, and eviction
+/// pops the index's first entry, so `get`, `insert`, and each draw that
+/// `set_capacity` evicts cost O(log n) rather than a scan of the whole
+/// map. Stamps are unique, so the popped entry is exactly the
+/// minimum-stamp draw such a scan would pick.
 pub(crate) struct GeomCache {
     map: HashMap<u64, GeomEntry>,
+    /// Recency index: stamp → key, one entry per cached draw, filed
+    /// under that draw's current stamp. Its first entry is the LRU draw.
+    by_stamp: BTreeMap<u64, u64>,
     stamp: u64,
     capacity: usize,
 }
@@ -247,7 +260,7 @@ impl std::fmt::Debug for GeomCache {
 
 impl GeomCache {
     pub(crate) fn with_capacity(capacity: usize) -> Self {
-        Self { map: HashMap::new(), stamp: 0, capacity: capacity.max(1) }
+        Self { map: HashMap::new(), by_stamp: BTreeMap::new(), stamp: 0, capacity: capacity.max(1) }
     }
 
     /// Number of cached draws.
@@ -259,6 +272,8 @@ impl GeomCache {
     pub(crate) fn get(&mut self, key: u64) -> Option<Arc<CachedDrawGeom>> {
         let entry = self.map.get_mut(&key)?;
         self.stamp += 1;
+        self.by_stamp.remove(&entry.stamp);
+        self.by_stamp.insert(self.stamp, key);
         entry.stamp = self.stamp;
         Some(entry.geom.clone())
     }
@@ -266,31 +281,37 @@ impl GeomCache {
     /// Inserts (or refreshes) `key`, evicting the least-recently-used
     /// draw if the cache is full.
     pub(crate) fn insert(&mut self, key: u64, geom: Arc<CachedDrawGeom>) {
-        if !self.map.contains_key(&key) && self.map.len() >= self.capacity {
-            if let Some(&victim) =
-                self.map.iter().min_by_key(|(_, e)| e.stamp).map(|(k, _)| k)
-            {
-                self.map.remove(&victim);
-            }
-        }
         self.stamp += 1;
-        self.map.insert(key, GeomEntry { stamp: self.stamp, geom });
+        if let Some(entry) = self.map.get_mut(&key) {
+            self.by_stamp.remove(&entry.stamp);
+            *entry = GeomEntry { stamp: self.stamp, geom };
+        } else {
+            if self.map.len() >= self.capacity {
+                self.evict_lru();
+            }
+            self.map.insert(key, GeomEntry { stamp: self.stamp, geom });
+        }
+        self.by_stamp.insert(self.stamp, key);
     }
 
     /// Drops every cached draw.
     pub(crate) fn clear(&mut self) {
         self.map.clear();
+        self.by_stamp.clear();
     }
 
     /// Changes the bound, evicting least-recently-used draws down to it.
     pub(crate) fn set_capacity(&mut self, capacity: usize) {
         self.capacity = capacity.max(1);
         while self.map.len() > self.capacity {
-            if let Some(&victim) =
-                self.map.iter().min_by_key(|(_, e)| e.stamp).map(|(k, _)| k)
-            {
-                self.map.remove(&victim);
-            }
+            self.evict_lru();
+        }
+    }
+
+    /// Removes the draw with the minimum stamp.
+    fn evict_lru(&mut self) {
+        if let Some((_, victim)) = self.by_stamp.pop_first() {
+            self.map.remove(&victim);
         }
     }
 }
@@ -298,9 +319,115 @@ impl GeomCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rbcd_math::Rng;
+    use std::collections::BTreeSet;
 
     fn geom() -> Arc<CachedDrawGeom> {
         Arc::new(CachedDrawGeom::default())
+    }
+
+    /// Reference model: the original LRU that finds its victim by a
+    /// linear scan of every entry for the minimum stamp. Values are
+    /// tags standing in for the cached geometry.
+    struct ScanLru {
+        map: HashMap<u64, (u64, u64)>,
+        stamp: u64,
+        capacity: usize,
+    }
+
+    impl ScanLru {
+        fn with_capacity(capacity: usize) -> Self {
+            Self { map: HashMap::new(), stamp: 0, capacity: capacity.max(1) }
+        }
+
+        fn get(&mut self, key: u64) -> Option<u64> {
+            let (stamp, tag) = self.map.get_mut(&key)?;
+            self.stamp += 1;
+            *stamp = self.stamp;
+            Some(*tag)
+        }
+
+        fn evict_by_scan(&mut self) {
+            if let Some(&victim) = self.map.iter().min_by_key(|(_, e)| e.0).map(|(k, _)| k) {
+                self.map.remove(&victim);
+            }
+        }
+
+        fn insert(&mut self, key: u64, tag: u64) {
+            if !self.map.contains_key(&key) && self.map.len() >= self.capacity {
+                self.evict_by_scan();
+            }
+            self.stamp += 1;
+            self.map.insert(key, (self.stamp, tag));
+        }
+
+        fn set_capacity(&mut self, capacity: usize) {
+            self.capacity = capacity.max(1);
+            while self.map.len() > self.capacity {
+                self.evict_by_scan();
+            }
+        }
+    }
+
+    /// Asserts the recency index mirrors the map: one index entry per
+    /// cached draw, filed under that draw's stamp.
+    fn assert_index_consistent(cache: &GeomCache) {
+        assert_eq!(cache.by_stamp.len(), cache.map.len());
+        for (key, entry) in &cache.map {
+            assert_eq!(cache.by_stamp.get(&entry.stamp), Some(key));
+        }
+    }
+
+    #[test]
+    fn recency_index_evicts_exactly_like_the_linear_scan() {
+        for (seed, capacity) in [(1u64, 1usize), (2, 2), (3, 7), (4, 64)] {
+            let mut rng = Rng::seed_from_u64(0x6E0_CAC4E ^ seed);
+            let mut cache = GeomCache::with_capacity(capacity);
+            let mut reference = ScanLru::with_capacity(capacity);
+            let mut cap = capacity;
+            let mut hits = 0u64;
+            // Keys span about twice the capacity, so hits, misses,
+            // refreshes, and evictions all occur.
+            let keys = 2 * capacity as u64 + 3;
+            for op in 0..4000u64 {
+                let key = rng.gen_range(0..keys);
+                let roll = rng.gen_range(0u32..100);
+                let tag = match roll {
+                    0..=44 => {
+                        let got = cache.get(key).map(|g| g.verts);
+                        assert_eq!(got, reference.get(key), "capacity {capacity}, op {op}: get");
+                        hits += u64::from(got.is_some());
+                        continue;
+                    }
+                    45..=89 => {
+                        let geom = CachedDrawGeom { verts: op, ..CachedDrawGeom::default() };
+                        cache.insert(key, Arc::new(geom));
+                        reference.insert(key, op);
+                        "insert"
+                    }
+                    90..=97 => {
+                        // Grow or shrink around the starting capacity.
+                        cap = rng.gen_range(1..2 * capacity + 2);
+                        cache.set_capacity(cap);
+                        reference.set_capacity(cap);
+                        "set_capacity"
+                    }
+                    _ => {
+                        cache.clear();
+                        reference.map.clear();
+                        "clear"
+                    }
+                };
+                let at = format!("capacity {capacity}, op {op}: {tag}");
+                assert_eq!(cache.len(), reference.map.len(), "{at}: len");
+                assert!(cache.len() <= cap);
+                let resident: BTreeSet<u64> = cache.map.keys().copied().collect();
+                let expected: BTreeSet<u64> = reference.map.keys().copied().collect();
+                assert_eq!(resident, expected, "{at}: resident key set");
+                assert_index_consistent(&cache);
+            }
+            assert!(hits > 0, "capacity {capacity}: the script must exercise the hit path");
+        }
     }
 
     #[test]

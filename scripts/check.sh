@@ -43,6 +43,13 @@ cargo build --release --workspace
 echo "== cargo test =="
 cargo test --workspace --quiet
 
+echo "== perfbench build + self-checks =="
+# perfbench is its own cargo package, outside the workspace, so the
+# workspace test run never builds it. Its tests include the exact-
+# reference check, so an API change that breaks the benchmark's build
+# or its reference fails here rather than only when it is next run.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== cargo doc (deny warnings) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
 
