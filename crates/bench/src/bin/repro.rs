@@ -10,25 +10,20 @@
 //! fig9b fig10 fig11 table3 sec52 sec53 ablation-zebs all — plus the
 //! extension experiments imr, spares, timesteps, tbdr, resolution, and
 //! temporal (run by `all` too), and `bench`, a host-throughput smoke
-//! for the parallel tile pipeline that writes `BENCH_tile_pipeline.json`,
-//! and `hotpath`, a host-wall-clock A/B of the span-mask vs reference
-//! intra-tile hot path that writes `BENCH_raster_hotpath.json` and
-//! exits non-zero if the two modes ever diverge, and `frontend`, a
-//! host-wall-clock A/B of the incremental geometry front-end (per-draw
-//! transform/clip/bin caching with delta binning) against a full
-//! per-frame rebuild that writes `BENCH_geometry_frontend.json` and
-//! exits non-zero if the two front-ends ever diverge — across thread
-//! counts, reuse on/off, fault storms, a governed budget, and the
-//! batch service, and `broadphase`, a host-wall-clock A/B of the
-//! screen-space broad phase (pair-infeasible draw pruning and
-//! single-occupant tile elision) against a broad-phase-off run that
-//! writes `BENCH_broadphase.json` and exits non-zero if pairs or any
-//! non-image-side counter ever diverge — across the same thread /
-//! reuse / fault / governor / batch legs, timed on the sparse-swarm
-//! clips of `rbcd_workloads::sparse_family()`. Every `BENCH_*.json`
-//! artifact opens with the shared `rbcd_bench::schema` header
-//! (`schema_version`, bench id, host, geomean) and is re-validated with
-//! the workspace's own JSON parser before it is written.
+//! for the parallel tile pipeline that writes `BENCH_tile_pipeline.json`.
+//! `hotpath` (span-mask vs reference intra-tile hot path), `frontend`
+//! (incremental geometry front-end vs a full per-frame rebuild), and
+//! `broadphase` (screen-space broad phase vs off, timed on the
+//! sparse-swarm clips) are host-wall-clock A/Bs through the one
+//! harness in `rbcd_bench::ab`: its exactness legs (threads, reuse,
+//! governor, fault storms, batch service) hold each knob to its row of
+//! the invariant table and exit non-zero on any divergence, then its
+//! interleaved-pair timer writes `BENCH_raster_hotpath.json`,
+//! `BENCH_geometry_frontend.json`, or `BENCH_broadphase.json`. Every
+//! `BENCH_*.json` artifact opens with the shared `rbcd_bench::schema`
+//! header (`schema_version`, bench id, host, geomean), is re-validated
+//! with the workspace's own JSON parser before it is written, and a
+//! failed write exits non-zero.
 //! `temporal` measures the signature-based tile-reuse layer on the
 //! static/resting clips of `rbcd_workloads::temporal_suite()` against a
 //! reuse-off run of the same frames, reports per-scene reuse rate and
@@ -52,10 +47,12 @@
 //! bit-identical either way, only image-side timing moves), `--smoke`
 //! shrinks every experiment to a quick
 //! configuration and defaults the experiment list to `bench temporal`,
-//! and `--scene <alias>` restricts multi-scene experiments to one
-//! workload. All flags parse through the shared option table in
-//! `rbcd_bench::cli`; an unknown flag or missing value exits with
-//! status 2.
+//! and `--scene <alias>` restricts multi-scene experiments, `bench`,
+//! `hotpath`, `frontend`, `broadphase`, and `temporal` included, to
+//! one workload of their family (an unknown alias, or one outside a
+//! named experiment's family, exits 2). All flags parse through the
+//! shared option table in `rbcd_bench::cli`; an unknown flag or missing
+//! value exits with status 2.
 //!
 //! `--trace <out.json>` runs the trace experiment: render the `cap`
 //! workload with the deterministic instrumentation layer enabled and
@@ -95,14 +92,22 @@
 //! counters, and scheduler overhead. Writes `BENCH_multi_session.json`;
 //! exits non-zero on any cross-session interference or ledger leak.
 
+use rbcd_bench::ab::{self, Field, Knob};
 use rbcd_bench::cli::{self, UsageError};
 use rbcd_bench::report::{fmt_norm, fmt_pct, fmt_x, Table, TableError};
+use rbcd_bench::schema;
 use rbcd_bench::{
-    accuracy, geomean, run_frames_parallel, run_gpu_traced, run_suite, RunOptions, SuiteResult,
+    accuracy, geomean, run_frames_parallel, run_gpu, run_gpu_traced, run_suite, RunOptions,
+    SuiteResult,
 };
 use rbcd_core::{FaultPlan, RbcdConfig};
-use rbcd_gpu::GpuConfig;
+use rbcd_gpu::{GpuConfig, PipelineMode, Simulator};
+use rbcd_workloads::Scene;
 use std::time::Instant;
+
+/// An experiment's result: table, schema, and I/O errors exit 1, usage
+/// errors (`UsageError`) exit 2.
+type Outcome = Result<(), Box<dyn std::error::Error>>;
 
 struct PaperRef {
     /// Paper-reported geomean (or headline) value, for side-by-side
@@ -117,7 +122,7 @@ fn main() {
     }
 }
 
-fn run() -> Result<(), Box<dyn std::error::Error>> {
+fn run() -> Outcome {
     // All flags go through the shared option table (`rbcd_bench::cli`),
     // so `--threads`, `--scene`, `--hot-path`, `--no-reuse`, … parse
     // identically for every experiment.
@@ -153,52 +158,66 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         run_fault_experiment(plan, &opts, smoke)?;
     }
 
+    // The A/B experiments run on their workload family narrowed by
+    // `--scene`. An unknown alias, or one outside the family of an
+    // experiment named on the command line, exits 2; an experiment run
+    // by `all` or by the `--smoke` default skips other families' aliases.
+    let scene = parsed.scene.as_deref();
+    let named = |id: &str| wanted.iter().any(|w| w == id);
+    let known = || {
+        let every = [rbcd_workloads::suite(), rbcd_workloads::temporal_suite(), rbcd_workloads::sparse_family()];
+        cli::filter_scenes(every.concat(), scene).is_ok()
+    };
+    let family = |id: &str, scenes| match cli::filter_scenes(scenes, scene) {
+        Err(e) if parsed.rest.iter().any(|w| w == id) || !known() => Err(e),
+        kept => Ok(kept.ok()),
+    };
+
     // `bench` is opt-in (not part of `all`): it measures *host* time,
     // which is meaningless in CI artifact regeneration.
-    if wanted.iter().any(|w| w == "bench") {
-        run_tile_pipeline_bench(&opts, threads.max(2), smoke)?;
+    if named("bench") {
+        if let Some(scenes) = family("bench", rbcd_workloads::suite())? {
+            run_tile_pipeline_bench(&opts, threads.max(2), smoke, &scenes)?;
+        }
     }
 
-    // `hotpath` is opt-in for the same reason: it A/B-times the
-    // intra-tile hot path (span-mask vs reference rasterizer) on the
-    // host clock and enforces their bit-identical results.
-    if wanted.iter().any(|w| w == "hotpath") {
-        run_hotpath_bench(&opts, smoke)?;
+    // `hotpath`, `frontend`, and `broadphase` are opt-in for the same
+    // reason. Each enforces its knob's row of the invariant table
+    // through `rbcd_bench::ab::check`, then A/B-times the knob on the
+    // host clock: the intra-tile hot path (span-mask vs reference
+    // rasterizer), the geometry front-end (incremental vs a full
+    // per-frame rebuild), and the screen-space broad phase (on vs off).
+    if named("hotpath") {
+        let scenes = cli::filter_scenes(rbcd_workloads::suite(), scene)?;
+        run_hotpath_bench(&opts, smoke, &scenes)?;
     }
-
-    // `frontend` is opt-in for the same reason: it A/B-times the
-    // incremental geometry front-end against a full per-frame rebuild
-    // on the host clock, after enforcing their bit-identical results
-    // across threads, reuse, faults, governor, and batch service.
-    if wanted.iter().any(|w| w == "frontend") {
-        run_frontend_bench(&opts, smoke)?;
+    if named("frontend") {
+        let scenes = cli::filter_scenes(rbcd_workloads::temporal_suite(), scene)?;
+        run_frontend_bench(&opts, smoke, &scenes)?;
     }
-
-    // `broadphase` is opt-in for the same reason: it A/B-times the
-    // screen-space broad phase against a broad-phase-off run on the
-    // host clock, after enforcing the exactness contract (pairs and
-    // every non-image-side counter bit-identical) across threads,
-    // reuse, faults, governor, and batch service.
-    if wanted.iter().any(|w| w == "broadphase") {
-        run_broadphase_bench(&opts, smoke)?;
+    if named("broadphase") {
+        let scenes = cli::filter_scenes(rbcd_workloads::sparse_family(), scene)?;
+        run_broadphase_bench(&opts, smoke, &scenes)?;
     }
 
     // `overload` is opt-in for the same reason as `--faults`: every
     // frame is rendered once per budget point plus an ungoverned
     // baseline pass and a lossless oracle pass.
-    if wanted.iter().any(|w| w == "overload") {
+    if named("overload") {
         run_overload_experiment(&opts, smoke)?;
     }
 
     // `serve` is opt-in for the same reason as `bench`: it measures
     // multi-session service throughput/latency and scheduler overhead
     // on the host clock, enforcing the per-session determinism contract.
-    if wanted.iter().any(|w| w == "serve") {
+    if named("serve") {
         rbcd_bench::serve::run_serve_experiment(&parsed)?;
     }
 
     if want("temporal") {
-        run_temporal_experiment(&opts)?;
+        if let Some(scenes) = family("temporal", rbcd_workloads::temporal_suite())? {
+            run_temporal_experiment(&opts, &scenes)?;
+        }
     }
 
     if want("table1") {
@@ -238,7 +257,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
 
     eprintln!("running the benchmark suite (this simulates every frame three+ times)...");
     let t0 = Instant::now();
-    let scenes = cli::filter_scenes(rbcd_workloads::suite(), parsed.scene.as_deref())?;
+    let scenes = cli::filter_scenes(rbcd_workloads::suite(), scene)?;
     let suite = run_suite(&scenes, &opts);
     eprintln!("suite simulated in {:.1?} of host time", t0.elapsed());
     let (checked, reused) = suite.benchmarks.iter().fold((0u64, 0u64), |acc, b| {
@@ -254,16 +273,16 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     if want("fig8a") {
-        print_fig8_speedup(&suite, false, PaperRef { note: "paper geomean ~250x (1 ZEB), ~600x (2 ZEB)" })?;
+        print_fig8(&suite, false, false, PaperRef { note: "paper geomean ~250x (1 ZEB), ~600x (2 ZEB)" })?;
     }
     if want("fig8b") {
-        print_fig8_energy(&suite, false, PaperRef { note: "paper geomean ~273x (1 ZEB), ~448x (2 ZEB)" })?;
+        print_fig8(&suite, false, true, PaperRef { note: "paper geomean ~273x (1 ZEB), ~448x (2 ZEB)" })?;
     }
     if want("fig8c") {
-        print_fig8_speedup(&suite, true, PaperRef { note: "paper geomean ~1400x (1 ZEB), ~3400x (2 ZEB)" })?;
+        print_fig8(&suite, true, false, PaperRef { note: "paper geomean ~1400x (1 ZEB), ~3400x (2 ZEB)" })?;
     }
     if want("fig8d") {
-        print_fig8_energy(&suite, true, PaperRef { note: "paper geomean ~1750x (1 ZEB), ~2875x (2 ZEB)" })?;
+        print_fig8(&suite, true, true, PaperRef { note: "paper geomean ~1750x (1 ZEB), ~2875x (2 ZEB)" })?;
     }
     if want("fig9a") {
         print_fig9(&suite, true)?;
@@ -286,7 +305,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
     if want("ablation-zebs") {
         print_ablation(&suite)?;
     }
-    if wanted.iter().any(|w| w == "debug") {
+    if named("debug") {
         print_debug(&suite)?;
     }
     Ok(())
@@ -364,42 +383,30 @@ fn print_sec53(opts: &RunOptions) -> Result<(), TableError> {
     Ok(())
 }
 
-fn print_fig8_speedup(suite: &SuiteResult, gjk: bool, paper: PaperRef) -> Result<(), TableError> {
+/// Figure 8: RBCD speedup (eq. 1) or energy reduction (eq. 2) vs the
+/// broad-phase or GJK CPU detector.
+fn print_fig8(suite: &SuiteResult, gjk: bool, energy: bool, paper: PaperRef) -> Result<(), TableError> {
     let which = if gjk { "GJK-CD" } else { "Broad-CD" };
-    let id = if gjk { "Figure 8c" } else { "Figure 8a" };
+    let (id, what) = match (gjk, energy) {
+        (false, false) => ("Figure 8a", "speedup"),
+        (false, true) => ("Figure 8b", "energy reduction"),
+        (true, false) => ("Figure 8c", "speedup"),
+        (true, true) => ("Figure 8d", "energy reduction"),
+    };
+    let eq = if energy { 2 } else { 1 };
     let mut t = Table::new(
-        &format!("{id} — RBCD speedup vs {which} (eq. 1)"),
+        &format!("{id} — RBCD {what} vs {which} (eq. {eq})"),
         &["benchmark", "1 ZEB", "2 ZEB"],
     );
     let mut s1 = Vec::new();
     let mut s2 = Vec::new();
     for b in &suite.benchmarks {
         let cpu = if gjk { &b.cpu_gjk } else { &b.cpu_broad };
-        let c1 = b.comparison(&b.rbcd1, cpu).speedup;
-        let c2 = b.comparison(&b.rbcd2, cpu).speedup;
-        s1.push(c1);
-        s2.push(c2);
-        t.row(vec![b.alias.clone(), fmt_x(c1), fmt_x(c2)])?;
-    }
-    t.row(vec!["geo.mean".into(), fmt_x(geomean(s1)), fmt_x(geomean(s2))])?;
-    print!("{}", t.render());
-    println!("({})", paper.note);
-    Ok(())
-}
-
-fn print_fig8_energy(suite: &SuiteResult, gjk: bool, paper: PaperRef) -> Result<(), TableError> {
-    let which = if gjk { "GJK-CD" } else { "Broad-CD" };
-    let id = if gjk { "Figure 8d" } else { "Figure 8b" };
-    let mut t = Table::new(
-        &format!("{id} — RBCD energy reduction vs {which} (eq. 2)"),
-        &["benchmark", "1 ZEB", "2 ZEB"],
-    );
-    let mut s1 = Vec::new();
-    let mut s2 = Vec::new();
-    for b in &suite.benchmarks {
-        let cpu = if gjk { &b.cpu_gjk } else { &b.cpu_broad };
-        let c1 = b.comparison(&b.rbcd1, cpu).energy_reduction;
-        let c2 = b.comparison(&b.rbcd2, cpu).energy_reduction;
+        let metric = |rbcd| {
+            let c = b.comparison(rbcd, cpu);
+            if energy { c.energy_reduction } else { c.speedup }
+        };
+        let (c1, c2) = (metric(&b.rbcd1), metric(&b.rbcd2));
         s1.push(c1);
         s2.push(c2);
         t.row(vec![b.alias.clone(), fmt_x(c1), fmt_x(c2)])?;
@@ -593,6 +600,13 @@ fn print_debug(suite: &SuiteResult) -> Result<(), TableError> {
     );
     for b in &suite.benchmarks {
         let f = b.frames as f64;
+        let dram_mb = |st: &rbcd_gpu::FrameStats| {
+            let bytes = (st.raster.tile_cache_loads.misses()
+                + st.geometry.tile_cache_stores.misses()
+                + st.geometry.vertex_cache.misses()) * 64
+                + st.raster.tiles_processed * 256 * 4;
+            format!("{:.2}", bytes as f64 / f / 1e6)
+        };
         let base_c = b.baseline.stats.total_cycles() as f64;
         let delta = (b.rbcd2.stats.total_cycles() as f64 - base_c) / f / 1e3;
         let r = b.rbcd2.rbcd.as_ref().unwrap();
@@ -622,22 +636,8 @@ fn print_debug(suite: &SuiteResult) -> Result<(), TableError> {
             format!("{rast_d:.1}"),
             format!("{stall2:.1}"),
             format!("{prim_ratio:.3}"),
-            {
-                let st = &b.baseline.stats;
-                let bytes = (st.raster.tile_cache_loads.misses()
-                    + st.geometry.tile_cache_stores.misses()
-                    + st.geometry.vertex_cache.misses()) * 64
-                    + st.raster.tiles_processed * 256 * 4;
-                format!("{:.2}", bytes as f64 / f / 1e6)
-            },
-            {
-                let st = &b.rbcd2.stats;
-                let bytes = (st.raster.tile_cache_loads.misses()
-                    + st.geometry.tile_cache_stores.misses()
-                    + st.geometry.vertex_cache.misses()) * 64
-                    + st.raster.tiles_processed * 256 * 4;
-                format!("{:.2}", bytes as f64 / f / 1e6)
-            },
+            dram_mb(&b.baseline.stats),
+            dram_mb(&b.rbcd2.stats),
         ])?;
     }
     print!("{}", t.render());
@@ -695,7 +695,6 @@ fn print_imr(opts: &RunOptions) -> Result<(), TableError> {
 
 /// Extension (§5.3): spare-entry pool vs overflow rate at M = 4.
 fn print_spares(opts: &RunOptions) -> Result<(), TableError> {
-    use rbcd_bench::runner::run_gpu;
     use rbcd_core::RbcdConfig;
     let mut t = Table::new(
         "Extension §5.3 — spare-entry pool vs overflow at M = 4 (2 ZEBs)",
@@ -855,10 +854,7 @@ fn print_resolution(_opts: &RunOptions) -> Result<(), TableError> {
 /// enforced, not assumed: if reuse changes a pair set or any `rbcd.*`
 /// counter the run exits non-zero. Writes
 /// `BENCH_temporal_coherence.json`.
-fn run_temporal_experiment(opts: &RunOptions) -> Result<(), TableError> {
-    use rbcd_bench::runner::run_gpu;
-
-    let scenes = rbcd_workloads::temporal_suite();
+fn run_temporal_experiment(opts: &RunOptions, scenes: &[Scene]) -> Outcome {
     eprintln!(
         "temporal coherence: {} clips, reuse off vs on, {} thread(s)...",
         scenes.len(),
@@ -871,30 +867,17 @@ fn run_temporal_experiment(opts: &RunOptions) -> Result<(), TableError> {
     let mut rows = Vec::new();
     let mut speedups = Vec::new();
     let (mut checked, mut reused) = (0u64, 0u64);
-    for scene in &scenes {
+    for scene in scenes {
         let frames = opts.frames.unwrap_or(scene.frames).min(scene.frames).max(2);
-        let off = run_gpu(
-            scene,
-            frames,
-            &RunOptions { reuse: false, ..opts.clone() },
-            Some(RbcdConfig::default()),
-        );
-        let on = run_gpu(
-            scene,
-            frames,
-            &RunOptions { reuse: true, ..opts.clone() },
-            Some(RbcdConfig::default()),
-        );
+        let run = |reuse| {
+            run_gpu(scene, frames, &RunOptions { reuse, ..opts.clone() }, Some(RbcdConfig::default()))
+        };
+        let (off, on) = (run(false), run(true));
 
         // Replay must be invisible in the results: same pairs, same
         // RBCD-unit books. Only the timeline may shrink.
-        let identical = on.pairs == off.pairs && on.rbcd == off.rbcd;
-        if !identical {
-            eprintln!(
-                "REUSE DIVERGENCE on {}: reuse-on results differ from reuse-off",
-                scene.alias
-            );
-            std::process::exit(1);
+        if on.pairs != off.pairs || on.rbcd != off.rbcd {
+            return Err(format!("REUSE DIVERGENCE on {}: reuse-on results differ from reuse-off", scene.alias).into());
         }
 
         let tiles_checked = on.counters.get("coherence.tiles_checked");
@@ -915,7 +898,16 @@ fn run_temporal_experiment(opts: &RunOptions) -> Result<(), TableError> {
             fmt_x(speedup),
             "yes".to_string(),
         ])?;
-        rows.push((scene.alias.to_string(), frames, tiles_checked, tiles_reused, rate, cycles_off, cycles_on, speedup));
+        rows.push(vec![
+            ("name", ab::quoted(scene.alias)),
+            ("frames", frames.to_string()),
+            ("tiles_checked", tiles_checked.to_string()),
+            ("tiles_reused", tiles_reused.to_string()),
+            ("reuse_rate", format!("{rate:.6}")),
+            ("cycles_off", cycles_off.to_string()),
+            ("cycles_on", cycles_on.to_string()),
+            ("speedup", format!("{speedup:.4}")),
+        ]);
     }
     print!("{}", t.render());
     let geo = geomean(speedups);
@@ -925,41 +917,14 @@ fn run_temporal_experiment(opts: &RunOptions) -> Result<(), TableError> {
         fmt_x(geo),
         fmt_pct(reused as f64 / checked.max(1) as f64)
     );
-
-    // Hand-rolled JSON — the workspace deliberately has no serde. The
-    // shared header (schema_version, bench id, host, geomean) comes
-    // from `rbcd_bench::schema`, which also re-validates the document
-    // before it is written.
-    let mut json = rbcd_bench::schema::header("temporal_coherence", geo);
-    json.push_str(&format!("  \"threads\": {},\n", opts.threads.max(1)));
-    json.push_str(&format!(
-        "  \"viewport\": \"{}x{}\",\n",
-        opts.gpu.viewport.width, opts.gpu.viewport.height
-    ));
-    json.push_str("  \"identical_results\": true,\n");
-    json.push_str(&format!("  \"speedup_geomean\": {geo:.4},\n"));
-    json.push_str(&format!(
-        "  \"reuse_rate\": {:.6},\n",
-        reused as f64 / checked.max(1) as f64
-    ));
-    json.push_str("  \"scenes\": [\n");
-    for (i, (alias, frames, tiles_checked, tiles_reused, rate, cycles_off, cycles_on, speedup)) in
-        rows.iter().enumerate()
-    {
-        json.push_str(&format!(
-            "    {{\"name\": \"{alias}\", \"frames\": {frames}, \
-             \"tiles_checked\": {tiles_checked}, \"tiles_reused\": {tiles_reused}, \
-             \"reuse_rate\": {rate:.6}, \"cycles_off\": {cycles_off}, \
-             \"cycles_on\": {cycles_on}, \"speedup\": {speedup:.4}}}{}\n",
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    let path = "BENCH_temporal_coherence.json";
-    match rbcd_bench::schema::write(path, &json) {
-        Ok(_) => println!("wrote {path}"),
-        Err(e) => eprintln!("{path}: {e}"),
-    }
+    let fields = [
+        ("threads", opts.threads.max(1).to_string()),
+        ("viewport", ab::viewport(opts)),
+        ("identical_results", "true".to_string()),
+        ("speedup_geomean", format!("{geo:.4}")),
+        ("reuse_rate", format!("{:.6}", reused as f64 / checked.max(1) as f64)),
+    ];
+    ab::write_artifact("BENCH_temporal_coherence.json", schema::header("temporal_coherence", geo), &fields, "scenes", &rows)?;
     Ok(())
 }
 
@@ -970,7 +935,7 @@ fn run_temporal_experiment(opts: &RunOptions) -> Result<(), TableError> {
 /// crate's own parser before it is trusted, and the heatmap totals are
 /// cross-checked against the RBCD unit's counters; any disagreement is
 /// an error (non-zero exit).
-fn run_trace_experiment(path: &str, opts: &RunOptions) -> Result<(), Box<dyn std::error::Error>> {
+fn run_trace_experiment(path: &str, opts: &RunOptions) -> Outcome {
     use rbcd_trace::HEATMAP_METRICS;
 
     let scene = rbcd_workloads::cap();
@@ -1031,7 +996,7 @@ fn run_trace_experiment(path: &str, opts: &RunOptions) -> Result<(), Box<dyn std
 /// much of the software oracle's pair set survives — per fault class
 /// and per ladder rung. Writes `BENCH_fault_tolerance.json` and exits
 /// non-zero if any pair was lost without a counted overflow.
-fn run_fault_experiment(plan_name: &str, opts: &RunOptions, smoke: bool) -> Result<(), TableError> {
+fn run_fault_experiment(plan_name: &str, opts: &RunOptions, smoke: bool) -> Outcome {
     use rbcd_bench::faults::run_fault_tolerance;
 
     const SEED: u64 = 0xFA01_7B5E;
@@ -1040,9 +1005,7 @@ fn run_fault_experiment(plan_name: &str, opts: &RunOptions, smoke: bool) -> Resu
     let scenes = if smoke {
         vec![rbcd_workloads::shells(), rbcd_workloads::temple()]
     } else {
-        let mut s = rbcd_workloads::suite();
-        s.push(rbcd_workloads::shells());
-        s
+        suite_with_shells()
     };
     let mut opts = opts.clone();
     opts.frames = Some(opts.frames.unwrap_or(4).min(if smoke { 2 } else { 8 }));
@@ -1091,7 +1054,10 @@ fn run_fault_experiment(plan_name: &str, opts: &RunOptions, smoke: bool) -> Resu
             "escalated", "oracle pairs", "recovered", "silent",
         ],
     );
+    // Each (scene, M) cell lands as a table row and an artifact object.
+    let mut rows: Vec<Vec<Field>> = Vec::new();
     for s in &result.scenes {
+        let mut cells = Vec::new();
         for c in &s.cells {
             t.row(vec![
                 s.alias.clone(),
@@ -1107,7 +1073,21 @@ fn run_fault_experiment(plan_name: &str, opts: &RunOptions, smoke: bool) -> Resu
                 fmt_pct(c.recovered_fraction()),
                 c.silent_losses.to_string(),
             ])?;
+            let n = |k, v: u64| (k, v.to_string());
+            cells.push(vec![
+                n("m", c.m as u64), n("overflows", c.overflows), n("ff_drops", c.ff_drops),
+                n("rung_clean", c.rung_clean), n("rung_spare", c.rung_spare),
+                n("rung_rescan", c.rung_rescan), n("rung_cpu", c.rung_cpu),
+                n("rescan_passes", c.rescan_passes), n("escalated_objects", c.escalated_objects),
+                n("quarantined", c.quarantined), n("faults_injected", c.faults.total()),
+                n("oracle_pairs", c.oracle_pairs), n("gpu_recovered", c.gpu_recovered),
+                n("cpu_recovered", c.cpu_recovered), n("missing_pairs", c.missing_pairs),
+                n("silent_losses", c.silent_losses),
+                ("recovered_fraction", format!("{:.6}", c.recovered_fraction())),
+            ]);
         }
+        let frames = s.frames.to_string();
+        rows.push(vec![("name", ab::quoted(&s.alias)), ("frames", frames), ("cells", ab::nested(&cells))]);
     }
     print!("{}", t.render());
     let worst = result.worst_recovery();
@@ -1117,83 +1097,41 @@ fn run_fault_experiment(plan_name: &str, opts: &RunOptions, smoke: bool) -> Resu
         fmt_pct(worst)
     );
 
-    // Hand-rolled JSON with the shared `rbcd_bench::schema` header; the
-    // headline geomean for the fault sweep is the geomean of per-cell
-    // recovered fractions.
-    let geo = geomean(
-        result
-            .scenes
-            .iter()
-            .flat_map(|s| s.cells.iter().map(|c| c.recovered_fraction()))
-            .collect::<Vec<f64>>(),
-    );
-    let mut json = rbcd_bench::schema::header("fault_tolerance", geo);
-    json.push_str(&format!("  \"plan\": \"{}\",\n", result.plan));
-    json.push_str(&format!("  \"seed\": {},\n", result.seed));
-    json.push_str(&format!(
-        "  \"m_sweep\": [{}],\n",
-        m_values.map(|m| m.to_string()).join(", ")
-    ));
-    json.push_str(&format!("  \"worst_recovery\": {worst:.6},\n"));
-    json.push_str(&format!("  \"silent_losses\": {silent},\n"));
-    json.push_str("  \"scenes\": [\n");
-    for (i, s) in result.scenes.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"name\": \"{}\", \"frames\": {}, \"cells\": [\n",
-            s.alias, s.frames
-        ));
-        for (k, c) in s.cells.iter().enumerate() {
-            json.push_str(&format!(
-                "      {{\"m\": {}, \"overflows\": {}, \"ff_drops\": {}, \
-                 \"rung_clean\": {}, \"rung_spare\": {}, \"rung_rescan\": {}, \"rung_cpu\": {}, \
-                 \"rescan_passes\": {}, \"escalated_objects\": {}, \"quarantined\": {}, \
-                 \"faults_injected\": {}, \"oracle_pairs\": {}, \"gpu_recovered\": {}, \
-                 \"cpu_recovered\": {}, \"missing_pairs\": {}, \"silent_losses\": {}, \
-                 \"recovered_fraction\": {:.6}}}{}\n",
-                c.m, c.overflows, c.ff_drops,
-                c.rung_clean, c.rung_spare, c.rung_rescan, c.rung_cpu,
-                c.rescan_passes, c.escalated_objects, c.quarantined,
-                c.faults.total(), c.oracle_pairs, c.gpu_recovered,
-                c.cpu_recovered, c.missing_pairs, c.silent_losses,
-                c.recovered_fraction(),
-                if k + 1 < s.cells.len() { "," } else { "" }
-            ));
-        }
-        json.push_str(&format!(
-            "    ]}}{}\n",
-            if i + 1 < result.scenes.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    let path = "BENCH_fault_tolerance.json";
-    match rbcd_bench::schema::write(path, &json) {
-        Ok(_) => println!("wrote {path}"),
-        Err(e) => eprintln!("{path}: {e}"),
-    }
+    // The headline geomean for the fault sweep is the geomean of
+    // per-cell recovered fractions.
+    let geo = geomean(result.scenes.iter().flat_map(|s| s.cells.iter().map(|c| c.recovered_fraction())));
+    let fields = [
+        ("plan", ab::quoted(&result.plan)),
+        ("seed", result.seed.to_string()),
+        ("m_sweep", format!("[{}]", m_values.map(|m| m.to_string()).join(", "))),
+        ("worst_recovery", format!("{worst:.6}")),
+        ("silent_losses", silent.to_string()),
+    ];
+    let header = schema::header("fault_tolerance", geo);
+    ab::write_artifact("BENCH_fault_tolerance.json", header, &fields, "scenes", &rows)?;
 
     if silent > 0 {
-        eprintln!("SILENT PAIR LOSS: {silent} pairs vanished without a counted overflow");
-        std::process::exit(1);
+        return Err(format!("SILENT PAIR LOSS: {silent} pairs vanished without a counted overflow").into());
     }
     Ok(())
+}
+
+/// The suite plus the overflow-heavy `shells` stress scene: the full
+/// scene list of the fault and overload sweeps.
+fn suite_with_shells() -> Vec<Scene> {
+    [rbcd_workloads::suite(), vec![rbcd_workloads::shells()]].concat()
 }
 
 /// The frame-deadline governor sweep: storm-faulted frames at 100 / 75
 /// / 50 / 25 % of each scene's ungoverned cycle baseline, with full
 /// degraded-result accounting and an oracle soundness check per frame.
-fn run_overload_experiment(opts: &RunOptions, smoke: bool) -> Result<(), TableError> {
+fn run_overload_experiment(opts: &RunOptions, smoke: bool) -> Outcome {
     use rbcd_bench::overload::run_overload;
 
     const SEED: u64 = 0x0E_2108;
     let plan = FaultPlan::preset("storm", SEED).expect("storm is a named preset");
     let budget_pcts = [100u32, 75, 50, 25];
-    let scenes = if smoke {
-        vec![rbcd_workloads::shells()]
-    } else {
-        let mut s = rbcd_workloads::suite();
-        s.push(rbcd_workloads::shells());
-        s
-    };
+    let scenes = if smoke { vec![rbcd_workloads::shells()] } else { suite_with_shells() };
     let mut opts = opts.clone();
     opts.frames = Some(opts.frames.unwrap_or(4).min(if smoke { 3 } else { 6 }));
 
@@ -1212,7 +1150,11 @@ fn run_overload_experiment(opts: &RunOptions, smoke: bool) -> Result<(), TableEr
             "cpu", "stale", "oracle", "delegated", "recovered",
         ],
     );
+    // Each (scene, budget) cell lands as a table row and an artifact
+    // object.
+    let mut rows: Vec<Vec<Field>> = Vec::new();
     for s in &result.scenes {
+        let mut cells = Vec::new();
         for c in &s.cells {
             t.row(vec![
                 s.alias.clone(),
@@ -1228,7 +1170,21 @@ fn run_overload_experiment(opts: &RunOptions, smoke: bool) -> Result<(), TableEr
                 c.delegated_misses.to_string(),
                 fmt_pct(c.recovered_fraction()),
             ])?;
+            let n = |k, v: u64| (k, v.to_string());
+            cells.push(vec![
+                n("budget_pct", c.budget_pct.into()), n("budget_cycles", c.budget_cycles),
+                n("used_cycles", c.used_cycles), n("budget_violations", c.budget_violations),
+                n("degraded_frames", c.degraded_frames), n("tiles_shed", c.tiles_shed),
+                n("tiles_coarsened", c.tiles_coarsened), n("breaker_trips", c.breaker_trips),
+                n("exact_pairs", c.exact_pairs), n("cpu_verified_pairs", c.cpu_verified_pairs),
+                n("stale_pairs", c.stale_pairs), n("oracle_pairs", c.oracle_pairs),
+                n("oracle_misses", c.oracle_misses), n("delegated_misses", c.delegated_misses),
+                ("recovered_fraction", format!("{:.6}", c.recovered_fraction())),
+            ]);
         }
+        let (frames, baseline) = (s.frames.to_string(), s.baseline_cycles.to_string());
+        let (name, cells) = (ab::quoted(&s.alias), ab::nested(&cells));
+        rows.push(vec![("name", name), ("frames", frames), ("baseline_cycles", baseline), ("cells", cells)]);
     }
     print!("{}", t.render());
     let violations = result.budget_violations();
@@ -1239,62 +1195,21 @@ fn run_overload_experiment(opts: &RunOptions, smoke: bool) -> Result<(), TableEr
         fmt_pct(result.worst_recovery())
     );
 
-    // Hand-rolled JSON with the shared schema header; this is the one
-    // writer whose header carries a non-default governor block.
-    let mut json = rbcd_bench::schema::header_with_governor(
-        "overload",
-        result.geomean_recovery(),
-        result.governor_summary(),
-    );
-    json.push_str(&format!("  \"plan\": \"{}\",\n", result.plan));
-    json.push_str(&format!("  \"seed\": {},\n", result.seed));
-    json.push_str(&format!(
-        "  \"budget_pcts\": [{}],\n",
-        budget_pcts.map(|p| p.to_string()).join(", ")
-    ));
-    json.push_str(&format!("  \"worst_recovery\": {:.6},\n", result.worst_recovery()));
-    json.push_str(&format!("  \"budget_violations\": {violations},\n"));
-    json.push_str(&format!("  \"oracle_misses\": {misses},\n"));
-    json.push_str("  \"scenes\": [\n");
-    for (i, s) in result.scenes.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"name\": \"{}\", \"frames\": {}, \"baseline_cycles\": {}, \"cells\": [\n",
-            s.alias, s.frames, s.baseline_cycles
-        ));
-        for (k, c) in s.cells.iter().enumerate() {
-            json.push_str(&format!(
-                "      {{\"budget_pct\": {}, \"budget_cycles\": {}, \"used_cycles\": {}, \
-                 \"budget_violations\": {}, \"degraded_frames\": {}, \"tiles_shed\": {}, \
-                 \"tiles_coarsened\": {}, \"breaker_trips\": {}, \"exact_pairs\": {}, \
-                 \"cpu_verified_pairs\": {}, \"stale_pairs\": {}, \"oracle_pairs\": {}, \
-                 \"oracle_misses\": {}, \"delegated_misses\": {}, \
-                 \"recovered_fraction\": {:.6}}}{}\n",
-                c.budget_pct, c.budget_cycles, c.used_cycles,
-                c.budget_violations, c.degraded_frames, c.tiles_shed,
-                c.tiles_coarsened, c.breaker_trips, c.exact_pairs,
-                c.cpu_verified_pairs, c.stale_pairs, c.oracle_pairs,
-                c.oracle_misses, c.delegated_misses,
-                c.recovered_fraction(),
-                if k + 1 < s.cells.len() { "," } else { "" }
-            ));
-        }
-        json.push_str(&format!(
-            "    ]}}{}\n",
-            if i + 1 < result.scenes.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    let path = "BENCH_overload.json";
-    match rbcd_bench::schema::write(path, &json) {
-        Ok(_) => println!("wrote {path}"),
-        Err(e) => eprintln!("{path}: {e}"),
-    }
+    let fields = [
+        ("plan", ab::quoted(&result.plan)),
+        ("seed", result.seed.to_string()),
+        ("budget_pcts", format!("[{}]", budget_pcts.map(|p| p.to_string()).join(", "))),
+        ("worst_recovery", format!("{:.6}", result.worst_recovery())),
+        ("budget_violations", violations.to_string()),
+        ("oracle_misses", misses.to_string()),
+    ];
+    // The one artifact whose header carries a non-default governor block.
+    let header = schema::header_with_governor("overload", result.geomean_recovery(), result.governor_summary());
+    ab::write_artifact("BENCH_overload.json", header, &fields, "scenes", &rows)?;
 
     if violations > 0 || misses > 0 {
-        eprintln!(
-            "GOVERNOR CONTRACT BROKEN: {violations} budget violations, {misses} silent oracle misses"
-        );
-        std::process::exit(1);
+        let broken = format!("{violations} budget violations, {misses} silent oracle misses");
+        return Err(format!("GOVERNOR CONTRACT BROKEN: {broken}").into());
     }
     Ok(())
 }
@@ -1307,7 +1222,7 @@ fn run_overload_experiment(opts: &RunOptions, smoke: bool) -> Result<(), TableEr
 ///
 /// This replaces a `cargo bench` dependency: it needs nothing beyond
 /// `std::time::Instant`.
-fn run_tile_pipeline_bench(opts: &RunOptions, threads: usize, smoke: bool) -> Result<(), TableError> {
+fn run_tile_pipeline_bench(opts: &RunOptions, threads: usize, smoke: bool, scenes: &[Scene]) -> Outcome {
     let frames = opts.frames.unwrap_or(if smoke { 2 } else { 8 }).max(2);
     let cfg = RbcdConfig::default();
     let host_cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
@@ -1318,23 +1233,20 @@ fn run_tile_pipeline_bench(opts: &RunOptions, threads: usize, smoke: bool) -> Re
     );
     let mut rows = Vec::new();
     let mut speedups = Vec::new();
-    for scene in rbcd_workloads::suite() {
+    for scene in scenes {
         // Warm-up pass so lazy allocations and page faults don't bill
         // the sequential leg.
-        let _ = run_frames_parallel(&scene, frames.min(2), opts, cfg, 1);
+        let _ = run_frames_parallel(scene, frames.min(2), opts, cfg, 1);
 
-        let t0 = Instant::now();
-        let seq = run_frames_parallel(&scene, frames, opts, cfg, 1);
-        let seq_s = t0.elapsed().as_secs_f64();
-        let t1 = Instant::now();
-        let par = run_frames_parallel(&scene, frames, opts, cfg, threads);
-        let par_s = t1.elapsed().as_secs_f64();
+        let timed = |threads| {
+            let t0 = Instant::now();
+            let run = run_frames_parallel(scene, frames, opts, cfg, threads);
+            (run, t0.elapsed().as_secs_f64())
+        };
+        let ((seq, seq_s), (par, par_s)) = (timed(1), timed(threads));
 
-        let identical =
-            seq.stats == par.stats && seq.pairs == par.pairs && seq.rbcd == par.rbcd;
-        if !identical {
-            eprintln!("DETERMINISM VIOLATION on {}: parallel != sequential", scene.alias);
-            std::process::exit(1);
+        if seq.stats != par.stats || seq.pairs != par.pairs || seq.rbcd != par.rbcd {
+            return Err(format!("DETERMINISM VIOLATION on {}: parallel != sequential", scene.alias).into());
         }
         let seq_fps = frames as f64 / seq_s;
         let par_fps = frames as f64 / par_s;
@@ -1347,7 +1259,12 @@ fn run_tile_pipeline_bench(opts: &RunOptions, threads: usize, smoke: bool) -> Re
             format!("{speedup:.2}x"),
             "yes".to_string(),
         ])?;
-        rows.push((scene.alias.to_string(), seq_fps, par_fps, speedup));
+        rows.push(vec![
+            ("name", ab::quoted(scene.alias)),
+            ("seq_frames_per_s", format!("{seq_fps:.4}")),
+            ("par_frames_per_s", format!("{par_fps:.4}")),
+            ("speedup", format!("{speedup:.4}")),
+        ]);
     }
     print!("{}", t.render());
     let geo = geomean(speedups);
@@ -1355,143 +1272,64 @@ fn run_tile_pipeline_bench(opts: &RunOptions, threads: usize, smoke: bool) -> Re
         "geomean speedup {geo:.2}x at {threads} threads on a {host_cores}-core host \
          (expect ~1x when host cores < threads; simulated results are bit-identical either way)"
     );
-
-    // Hand-rolled JSON with the shared `rbcd_bench::schema` header.
-    let mut json = rbcd_bench::schema::header("tile_pipeline", geo);
-    json.push_str(&format!("  \"threads\": {threads},\n"));
-    json.push_str(&format!("  \"host_cores\": {host_cores},\n"));
-    json.push_str(&format!("  \"frames_per_workload\": {frames},\n"));
-    json.push_str(&format!(
-        "  \"viewport\": \"{}x{}\",\n",
-        opts.gpu.viewport.width, opts.gpu.viewport.height
-    ));
-    json.push_str("  \"deterministic\": true,\n");
-    json.push_str(&format!("  \"speedup_geomean\": {geo:.4},\n"));
-    json.push_str("  \"workloads\": [\n");
-    for (i, (alias, seq_fps, par_fps, speedup)) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"name\": \"{alias}\", \"seq_frames_per_s\": {seq_fps:.4}, \
-             \"par_frames_per_s\": {par_fps:.4}, \"speedup\": {speedup:.4}}}{}\n",
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    let path = "BENCH_tile_pipeline.json";
-    match rbcd_bench::schema::write(path, &json) {
-        Ok(_) => println!("wrote {path}"),
-        Err(e) => eprintln!("{path}: {e}"),
-    }
+    let fields = [
+        ("threads", threads.to_string()),
+        ("host_cores", host_cores.to_string()),
+        ("frames_per_workload", frames.to_string()),
+        ("viewport", ab::viewport(opts)),
+        ("deterministic", "true".to_string()),
+        ("speedup_geomean", format!("{geo:.4}")),
+    ];
+    ab::write_artifact("BENCH_tile_pipeline.json", schema::header("tile_pipeline", geo), &fields, "workloads", &rows)?;
     Ok(())
 }
 
 /// Host-wall-clock A/B of the intra-tile hot path (`hotpath`, opt-in
-/// like `bench`): for every suite workload, first run the full pipeline
-/// once per [`rbcd_gpu::HotPathMode`] and require bit-identical pairs,
-/// energy, and counters — minus exactly the three mask-only diagnostics
-/// (`raster.rows_empty`, `raster.rows_full`, `tile.scan_skipped`),
-/// which read 0 under `Reference` — then bin one frame and time
-/// repeated raster passes per mode, isolating the rasterize + insert +
-/// scan hot path from per-frame geometry work. Writes
-/// `BENCH_raster_hotpath.json`; exits non-zero on any divergence.
-fn run_hotpath_bench(opts: &RunOptions, smoke: bool) -> Result<(), TableError> {
-    use rbcd_bench::runner::run_gpu;
-    use rbcd_core::RbcdUnit;
-    use rbcd_gpu::{HotPathMode, PipelineMode, SimulatorBuilder};
-
-    const MASK_ONLY: [&str; 3] = ["raster.rows_empty", "raster.rows_full", "tile.scan_skipped"];
-
+/// like `bench`): [`ab::check`] holds the span-mask path to the
+/// reference under [`Knob::HotPath`], then one binned frame per scene is
+/// raster-passed per mode, isolating rasterize + insert + scan from
+/// per-frame geometry work. Writes `BENCH_raster_hotpath.json`.
+fn run_hotpath_bench(opts: &RunOptions, smoke: bool, scenes: &[Scene]) -> Outcome {
+    let knob = Knob::HotPath;
     let reps = if smoke { 5 } else { 40 };
     let frames = opts.frames.unwrap_or(2).clamp(1, 4);
     eprintln!("hotpath A/B: span-mask vs reference rasterizer, {reps} raster passes/scene...");
+    ab::check(knob, &RunOptions { frames: Some(frames), ..opts.clone() }, scenes, &rbcd_workloads::shells())?;
 
     let mut t = Table::new(
         "Intra-tile hot path — span-mask vs reference (host ns per raster pass)",
         &["benchmark", "reference ns", "mask ns", "speedup", "identical"],
     );
-    let mut rows = Vec::new();
-    let mut speedups = Vec::new();
-    for scene in rbcd_workloads::suite() {
-        // Exactness leg: a full multi-frame run per mode. The contract
-        // is bitwise — same pairs, same energy, and every counter equal
-        // except the three host-side diagnostics only Mask produces.
-        let run_mode = |mode: HotPathMode| {
-            let o = RunOptions { gpu: GpuConfig { hot_path: mode, ..opts.gpu.clone() }, ..opts.clone() };
-            run_gpu(&scene, frames, &o, Some(RbcdConfig { hot_path: mode, ..RbcdConfig::default() }))
-        };
-        let mask = run_mode(HotPathMode::Mask);
-        let reference = run_mode(HotPathMode::Reference);
-        let strip = |run: &rbcd_bench::metrics::GpuRun| -> Vec<(&'static str, u64)> {
-            run.counters.iter().filter(|(k, _)| !MASK_ONLY.contains(k)).collect()
-        };
-        let identical = strip(&mask) == strip(&reference)
-            && mask.pairs == reference.pairs
-            && mask.energy_j == reference.energy_j;
-        if !identical {
-            eprintln!("HOT-PATH DIVERGENCE on {}: mask results differ from reference", scene.alias);
-            std::process::exit(1);
-        }
-
-        // Wall-clock leg: geometry binned once per mode, then the two
-        // raster passes are timed back-to-back in interleaved pairs.
-        // Each pair shares the same instantaneous machine state, so the
-        // per-pair ratio cancels common-mode noise (frequency phases,
-        // hypervisor steal); the reported speedup is the median of the
-        // per-pair ratios and the per-pass times are the per-mode
-        // minima.
-        let make = |mode: HotPathMode| {
-            let sim = SimulatorBuilder::from_config(GpuConfig {
-                hot_path: mode,
-                ..opts.gpu.clone()
-            })
-            .build()
-            .expect("benchmark GPU configurations are validated at construction");
-            let unit = RbcdUnit::new(
-                RbcdConfig { hot_path: mode, ..RbcdConfig::default() },
-                opts.gpu.tile_size,
-            )
-            .expect("benchmark RBCD configurations are validated at construction");
-            (sim, unit)
-        };
+    let (mut rows, mut speedups) = (Vec::new(), Vec::new());
+    for scene in scenes {
+        // Geometry is binned once per stack, outside the timed passes.
         let trace = scene.frame_trace(0);
-        let (mut ref_sim, mut ref_unit) = make(HotPathMode::Reference);
-        let (mut mask_sim, mut mask_unit) = make(HotPathMode::Mask);
-        ref_sim.bench_bin_frame(&trace, PipelineMode::Rbcd);
-        mask_sim.bench_bin_frame(&trace, PipelineMode::Rbcd);
-        let pass = |sim: &mut rbcd_gpu::Simulator, unit: &mut RbcdUnit| -> f64 {
+        let bin = |sim: &mut Simulator| {
+            sim.bench_bin_frame(&trace, PipelineMode::Rbcd);
+        };
+        let tm = knob.time(opts, reps, bin, |sim, unit| {
             unit.new_frame();
             let t0 = Instant::now();
             let _ = sim.bench_raster_pass(&trace, PipelineMode::Rbcd, unit);
             let dt = t0.elapsed().as_secs_f64();
             let _ = unit.take_contacts();
             dt
-        };
-        // Warm-up pair so lazy allocations bill neither mode.
-        let _ = pass(&mut ref_sim, &mut ref_unit);
-        let _ = pass(&mut mask_sim, &mut mask_unit);
-        let (mut ref_ns, mut mask_ns) = (f64::INFINITY, f64::INFINITY);
-        let mut ratios = Vec::with_capacity(reps);
-        for _ in 0..reps {
-            let tr = pass(&mut ref_sim, &mut ref_unit);
-            let tm = pass(&mut mask_sim, &mut mask_unit);
-            ref_ns = ref_ns.min(tr * 1e9);
-            mask_ns = mask_ns.min(tm * 1e9);
-            ratios.push(tr / tm.max(1e-12));
-        }
-        ratios.sort_by(|a, b| a.partial_cmp(b).expect("pass ratios are finite"));
-        let speedup = if ratios.len() % 2 == 1 {
-            ratios[ratios.len() / 2]
-        } else {
-            (ratios[ratios.len() / 2 - 1] + ratios[ratios.len() / 2]) / 2.0
-        };
-        speedups.push(speedup);
+        });
+        let (ref_ns, mask_ns, x) = (tm.a_min * 1e9, tm.b_min * 1e9, tm.speedup);
+        speedups.push(x);
         t.row(vec![
             scene.alias.to_string(),
             format!("{ref_ns:.0}"),
             format!("{mask_ns:.0}"),
-            fmt_x(speedup),
+            fmt_x(x),
             "yes".to_string(),
         ])?;
-        rows.push((scene.alias.to_string(), ref_ns, mask_ns, speedup));
+        rows.push(vec![
+            ("name", ab::quoted(scene.alias)),
+            ("reference_ns_per_pass", format!("{ref_ns:.1}")),
+            ("mask_ns_per_pass", format!("{mask_ns:.1}")),
+            ("speedup", format!("{x:.4}")),
+        ]);
     }
     print!("{}", t.render());
     let geo = geomean(speedups);
@@ -1500,266 +1338,70 @@ fn run_hotpath_bench(opts: &RunOptions, smoke: bool) -> Result<(), TableError> {
          bit-identical)",
         fmt_x(geo)
     );
-
-    // Hand-rolled JSON with the shared `rbcd_bench::schema` header.
-    let mut json = rbcd_bench::schema::header("raster_hotpath", geo);
-    json.push_str(&format!("  \"raster_passes\": {reps},\n"));
-    json.push_str(&format!("  \"frames_checked\": {frames},\n"));
-    json.push_str(&format!(
-        "  \"viewport\": \"{}x{}\",\n",
-        opts.gpu.viewport.width, opts.gpu.viewport.height
-    ));
-    json.push_str("  \"identical_results\": true,\n");
-    json.push_str(&format!("  \"speedup_geomean\": {geo:.4},\n"));
-    json.push_str("  \"scenes\": [\n");
-    for (i, (alias, ref_ns, mask_ns, speedup)) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"name\": \"{alias}\", \"reference_ns_per_pass\": {ref_ns:.1}, \
-             \"mask_ns_per_pass\": {mask_ns:.1}, \"speedup\": {speedup:.4}}}{}\n",
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    let path = "BENCH_raster_hotpath.json";
-    match rbcd_bench::schema::write(path, &json) {
-        Ok(_) => println!("wrote {path}"),
-        Err(e) => eprintln!("{path}: {e}"),
-    }
+    let fields = [
+        ("raster_passes", reps.to_string()),
+        ("frames_checked", frames.to_string()),
+        ("viewport", ab::viewport(opts)),
+        ("identical_results", "true".to_string()),
+        ("speedup_geomean", format!("{geo:.4}")),
+    ];
+    let header = schema::header("raster_hotpath", geo);
+    ab::write_artifact("BENCH_raster_hotpath.json", header, &fields, "scenes", &rows)?;
     Ok(())
 }
 
 /// `frontend` experiment: the incremental geometry front-end (per-draw
 /// transform/clip/bin caching with delta binning) against a full
-/// per-frame rebuild.
-///
-/// Exactness legs first — the contract is bitwise: pairs, energy, and
-/// every counter except the accounting-only `geom.*` plane must match
-/// the rebuild run across thread counts, reuse on/off, storm/overflow
-/// fault plans, a governed budget deep in overload, and the multi-
-/// session batch service (per-session caches). Any divergence exits
-/// non-zero. Then the wall-clock leg times repeated geometry passes
-/// over the temporal clips per front-end in interleaved pairs
-/// (median-of-ratios, like `hotpath`) and writes
-/// `BENCH_geometry_frontend.json`.
-fn run_frontend_bench(opts: &RunOptions, smoke: bool) -> Result<(), TableError> {
-    use rbcd_bench::faults::run_fault_tolerance;
-    use rbcd_bench::runner::run_gpu;
-    use rbcd_core::RbcdUnit;
-    use rbcd_gpu::{
-        render_batch, BatchJob, FramePolicy, FrontendMode, PipelineMode, SimulatorBuilder,
-    };
-
+/// per-frame rebuild, on the temporal clips. [`ab::check`] holds it to
+/// [`Knob::Frontend`] (only the accounting-only `geom.*` plane may
+/// move), then geometry passes are timed per front-end; the raster
+/// stage is deliberately excluded. Writes `BENCH_geometry_frontend.json`.
+fn run_frontend_bench(opts: &RunOptions, smoke: bool, scenes: &[Scene]) -> Outcome {
+    let knob = Knob::Frontend;
     let reps = if smoke { 5 } else { 30 };
-    let scenes = rbcd_workloads::temporal_suite();
-    eprintln!(
-        "frontend A/B: incremental vs rebuild geometry, {reps} geometry passes/scene..."
-    );
+    eprintln!("frontend A/B: incremental vs rebuild geometry, {reps} geometry passes/scene...");
+    ab::check(knob, opts, scenes, &rbcd_workloads::resting())?;
 
-    // Exactness leg 1: whole runs across threads / reuse / governor.
-    // `geom.*` is the only counter plane allowed to move.
-    let strip = |run: &rbcd_bench::metrics::GpuRun| -> Vec<(&'static str, u64)> {
-        run.counters.iter().filter(|(k, _)| !k.starts_with("geom.")).collect()
-    };
-    let mut diverged = false;
-    for scene in &scenes {
-        let frames = opts.frames.unwrap_or(scene.frames).min(scene.frames);
-        let gov = rbcd_gpu::GovernorConfig {
-            frame_budget_cycles: 25_000,
-            ..rbcd_gpu::GovernorConfig::default()
-        };
-        let legs: [(usize, bool, Option<rbcd_gpu::GovernorConfig>); 4] =
-            [(1, false, None), (2, true, None), (4, true, None), (2, false, Some(gov))];
-        for (threads, reuse, governor) in legs {
-            let run_mode = |frontend: FrontendMode| {
-                let o = RunOptions { threads, reuse, frontend, governor, ..opts.clone() };
-                run_gpu(scene, frames, &o, Some(RbcdConfig::default()))
-            };
-            let rebuild = run_mode(FrontendMode::Rebuild);
-            let inc = run_mode(FrontendMode::Incremental);
-            if strip(&rebuild) != strip(&inc)
-                || rebuild.pairs != inc.pairs
-                || rebuild.energy_j != inc.energy_j
-                || rebuild.seconds != inc.seconds
-            {
-                eprintln!(
-                    "FRONT-END DIVERGENCE on {} ({threads} threads, reuse {reuse}, governed \
-                     {}): incremental differs from rebuild",
-                    scene.alias,
-                    governor.is_some()
-                );
-                diverged = true;
-            }
-        }
-    }
-
-    // Exactness leg 2: fault storms corrupt draws per frame (fresh mesh
-    // allocations every frame — the memo's hard case); every recovery
-    // statistic must match the rebuild front-end cell for cell.
-    for preset in ["storm", "overflow"] {
-        let plan = FaultPlan::preset(preset, 0xF207_7E4D).expect("preset exists");
-        let fault_scenes = [rbcd_workloads::resting()];
-        let run_mode = |frontend: FrontendMode| {
-            let o = RunOptions {
-                threads: 2,
-                frontend,
-                frames: Some(opts.frames.unwrap_or(4).min(4)),
-                ..opts.clone()
-            };
-            run_fault_tolerance(&fault_scenes, preset, plan, &[2], &o)
-        };
-        let rebuild = run_mode(FrontendMode::Rebuild);
-        let inc = run_mode(FrontendMode::Incremental);
-        for (sa, sb) in rebuild.scenes.iter().zip(&inc.scenes) {
-            for (ca, cb) in sa.cells.iter().zip(&sb.cells) {
-                if ca != cb {
-                    eprintln!(
-                        "FRONT-END DIVERGENCE under '{preset}' faults on {} M={}",
-                        sa.alias, ca.m
-                    );
-                    diverged = true;
-                }
-            }
-        }
-    }
-
-    // Exactness leg 3: the batch service. Per-session geometry caches
-    // must behave exactly like each session running solo.
-    {
-        let frames = opts.frames.unwrap_or(2).min(2);
-        let policy = FramePolicy::new().with_reuse(true).with_frontend(FrontendMode::Incremental);
-        let build = || {
-            SimulatorBuilder::from_config(opts.gpu.clone())
-                .policy(policy)
-                .build()
-                .expect("benchmark GPU configurations are validated at construction")
-        };
-        let unit = || {
-            RbcdUnit::new(RbcdConfig::default(), opts.gpu.tile_size)
-                .expect("benchmark RBCD configurations are validated at construction")
-        };
-        let mut solo_stats = Vec::new();
-        for scene in &scenes {
-            let (mut sim, mut u) = (build(), unit());
-            let mut per_scene = Vec::new();
-            for f in 0..frames {
-                u.new_frame();
-                let trace = scene.frame_trace(f);
-                per_scene
-                    .push(sim.render_frame_parallel(&trace, PipelineMode::Rbcd, &mut u, 1));
-                let _ = u.take_contacts();
-            }
-            solo_stats.push(per_scene);
-        }
-        let mut sims: Vec<_> = scenes.iter().map(|_| build()).collect();
-        let mut units: Vec<_> = scenes.iter().map(|_| unit()).collect();
-        // `f` drives the frame-trace generation and the solo-stats
-        // lookup together, not a single indexed slice.
-        #[allow(clippy::needless_range_loop)]
-        for f in 0..frames {
-            let traces: Vec<_> = scenes.iter().map(|s| s.frame_trace(f)).collect();
-            let mut jobs: Vec<BatchJob<'_, RbcdUnit>> = sims
-                .iter_mut()
-                .zip(units.iter_mut())
-                .zip(&traces)
-                .map(|((sim, backend), trace)| BatchJob {
-                    sim,
-                    backend,
-                    trace,
-                    mode: PipelineMode::Rbcd,
-                })
-                .collect();
-            let batched = render_batch(&mut jobs, 2).expect("batch jobs are well-formed");
-            for u in units.iter_mut() {
-                let _ = u.take_contacts();
-                u.new_frame();
-            }
-            for (ji, stats) in batched.iter().enumerate() {
-                if *stats != solo_stats[ji][f] {
-                    eprintln!(
-                        "FRONT-END DIVERGENCE in batch service: session {} frame {f} differs \
-                         from its solo run",
-                        scenes[ji].alias
-                    );
-                    diverged = true;
-                }
-            }
-        }
-    }
-    if diverged {
-        std::process::exit(1);
-    }
-
-    // Wall-clock leg: per scene, two simulators (one per front-end)
-    // run the geometry stage over the clip's frames in interleaved
-    // pairs. Each pair shares the same instantaneous machine state, so
-    // the per-pair ratio cancels common-mode noise; the reported
-    // speedup is the median of per-pair ratios and the per-pass times
-    // are per-mode minima. The raster stage is deliberately excluded —
-    // this knob only touches the geometry front-end.
     let mut t = Table::new(
         "Geometry front-end — incremental vs rebuild (host ns per geometry pass)",
         &["benchmark", "rebuild ns", "incremental ns", "speedup", "reused draws", "identical"],
     );
-    let mut rows = Vec::new();
-    let mut speedups = Vec::new();
-    for scene in &scenes {
+    let (mut rows, mut speedups) = (Vec::new(), Vec::new());
+    for scene in scenes {
         let frames = opts.frames.unwrap_or(scene.frames).min(scene.frames);
         let traces: Vec<_> = (0..frames).map(|f| scene.frame_trace(f)).collect();
-        let make = |frontend: FrontendMode| {
-            SimulatorBuilder::from_config(opts.gpu.clone())
-                .policy(FramePolicy::new().with_frontend(frontend))
-                .build()
-                .expect("benchmark GPU configurations are validated at construction")
-        };
-        let mut rebuild_sim = make(FrontendMode::Rebuild);
-        let mut inc_sim = make(FrontendMode::Incremental);
-        let pass = |sim: &mut rbcd_gpu::Simulator| -> f64 {
+        // The warm-up pair leaves the incremental cache warm: the
+        // steady state a long-running session lives in.
+        let tm = knob.time(opts, reps, |_| {}, |sim, _| {
             let t0 = Instant::now();
             for trace in &traces {
                 let _ = sim.bench_bin_frame(trace, PipelineMode::Rbcd);
             }
             t0.elapsed().as_secs_f64()
-        };
-        // Warm-up pass per mode: lazy allocations bill neither mode,
-        // and the incremental cache starts warm (the steady state a
-        // long-running session lives in).
-        let _ = pass(&mut rebuild_sim);
-        let _ = pass(&mut inc_sim);
-        let (mut rebuild_ns, mut inc_ns) = (f64::INFINITY, f64::INFINITY);
-        let mut ratios = Vec::with_capacity(reps);
-        for _ in 0..reps {
-            let tr = pass(&mut rebuild_sim);
-            let ti = pass(&mut inc_sim);
-            rebuild_ns = rebuild_ns.min(tr * 1e9 / frames as f64);
-            inc_ns = inc_ns.min(ti * 1e9 / frames as f64);
-            ratios.push(tr / ti.max(1e-12));
-        }
-        ratios.sort_by(|a, b| a.partial_cmp(b).expect("pass ratios are finite"));
-        let speedup = if ratios.len() % 2 == 1 {
-            ratios[ratios.len() / 2]
-        } else {
-            (ratios[ratios.len() / 2 - 1] + ratios[ratios.len() / 2]) / 2.0
-        };
-        speedups.push(speedup);
+        });
+        let (rebuild_ns, inc_ns) = (tm.a_min * 1e9 / frames as f64, tm.b_min * 1e9 / frames as f64);
+        speedups.push(tm.speedup);
         // Reuse accounting from a fresh incremental run (frames beyond
         // the first replay unchanged draws from the cache).
-        let acct = run_gpu(
-            scene,
-            frames,
-            &RunOptions { frontend: FrontendMode::Incremental, ..opts.clone() },
-            Some(RbcdConfig::default()),
-        );
+        let acct = run_gpu(scene, frames, &knob.set(opts, true), Some(RbcdConfig::default()));
         let reused = acct.counters.get("geom.reuse_draws");
         let shaded = acct.counters.get("geom.shaded_draws");
         t.row(vec![
             scene.alias.to_string(),
             format!("{rebuild_ns:.0}"),
             format!("{inc_ns:.0}"),
-            fmt_x(speedup),
+            fmt_x(tm.speedup),
             format!("{reused}/{}", reused + shaded),
             "yes".to_string(),
         ])?;
-        rows.push((scene.alias.to_string(), rebuild_ns, inc_ns, speedup, reused, shaded));
+        rows.push(vec![
+            ("name", ab::quoted(scene.alias)),
+            ("rebuild_ns_per_frame", format!("{rebuild_ns:.1}")),
+            ("incremental_ns_per_frame", format!("{inc_ns:.1}")),
+            ("speedup", format!("{:.4}", tm.speedup)),
+            ("reuse_draws", reused.to_string()),
+            ("shaded_draws", shaded.to_string()),
+        ]);
     }
     print!("{}", t.render());
     let geo = geomean(speedups);
@@ -1768,238 +1410,41 @@ fn run_frontend_bench(opts: &RunOptions, smoke: bool) -> Result<(), TableError> 
          counters bit-identical across threads, reuse, faults, governor, and batch)",
         fmt_x(geo)
     );
-
-    let mut json = rbcd_bench::schema::header("geometry_frontend", geo);
-    json.push_str(&format!("  \"geometry_passes\": {reps},\n"));
-    json.push_str(&format!(
-        "  \"viewport\": \"{}x{}\",\n",
-        opts.gpu.viewport.width, opts.gpu.viewport.height
-    ));
-    json.push_str("  \"identical_results\": true,\n");
-    json.push_str(&format!("  \"speedup_geomean\": {geo:.4},\n"));
-    json.push_str("  \"scenes\": [\n");
-    for (i, (alias, rebuild_ns, inc_ns, speedup, reused, shaded)) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"name\": \"{alias}\", \"rebuild_ns_per_frame\": {rebuild_ns:.1}, \
-             \"incremental_ns_per_frame\": {inc_ns:.1}, \"speedup\": {speedup:.4}, \
-             \"reuse_draws\": {reused}, \"shaded_draws\": {shaded}}}{}\n",
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    let path = "BENCH_geometry_frontend.json";
-    match rbcd_bench::schema::write(path, &json) {
-        Ok(_) => println!("wrote {path}"),
-        Err(e) => eprintln!("{path}: {e}"),
-    }
+    let fields = [
+        ("geometry_passes", reps.to_string()),
+        ("viewport", ab::viewport(opts)),
+        ("identical_results", "true".to_string()),
+        ("speedup_geomean", format!("{geo:.4}")),
+    ];
+    let header = schema::header("geometry_frontend", geo);
+    ab::write_artifact("BENCH_geometry_frontend.json", header, &fields, "scenes", &rows)?;
     Ok(())
 }
 
 /// `broadphase` experiment: the screen-space broad phase (pair-
 /// infeasible draw pruning + single-occupant tile elision) against a
-/// broad-phase-off run.
-///
-/// Exactness legs first — the contract is bitwise: pairs and every
-/// counter outside the image-side planes the broad phase is allowed to
-/// move (`raster.*` timing and fragment throughput, `coherence.*`,
-/// `broadphase.*`) must match the broad-phase-off run across thread
-/// counts, reuse on/off, storm/overflow fault plans, a governed budget
-/// (where the broad phase goes inert and even the image side must
-/// match), and the multi-session batch service. Any divergence exits
-/// non-zero. Then the wall-clock leg times full rendered frames of the
-/// sparse-swarm clips per mode in interleaved pairs (median-of-ratios,
-/// like `hotpath` and `frontend`) and writes `BENCH_broadphase.json`.
-fn run_broadphase_bench(opts: &RunOptions, smoke: bool) -> Result<(), TableError> {
-    use rbcd_bench::faults::run_fault_tolerance;
-    use rbcd_bench::runner::run_gpu;
-    use rbcd_core::RbcdUnit;
-    use rbcd_gpu::{
-        render_batch, BatchJob, BroadPhase, FramePolicy, PipelineMode, SimulatorBuilder,
-    };
-
+/// broad-phase-off run, on the sparse-swarm clips. [`ab::check`] holds
+/// it to [`Knob::BroadPhase`], on those clips plus a dense `cap`
+/// control (where pruning rarely fires and the contract is cheap to
+/// violate silently); then full rendered frames are timed per mode,
+/// reuse off so the measurement is pure pruning. Writes
+/// `BENCH_broadphase.json`.
+fn run_broadphase_bench(opts: &RunOptions, smoke: bool, scenes: &[Scene]) -> Outcome {
+    let knob = Knob::BroadPhase;
     let reps = if smoke { 5 } else { 30 };
-    let scenes = rbcd_workloads::sparse_family();
     eprintln!("broadphase A/B: pair-feasibility pruning vs off, {reps} rendered passes/scene...");
+    let checked = [scenes, &[rbcd_workloads::cap()]].concat();
+    ab::check(knob, opts, &checked, &rbcd_workloads::sparse())?;
 
-    // Exactness leg 1: whole runs across threads / reuse / governor,
-    // on the sparse clips plus a dense control (`cap`, where pruning
-    // rarely fires and the contract is cheap to violate silently).
-    // Only the image-side planes may move; under a governor the broad
-    // phase is inert, so there even those must match.
-    let kept = |run: &rbcd_bench::metrics::GpuRun| -> Vec<(&'static str, u64)> {
-        run.counters
-            .iter()
-            .filter(|(k, _)| {
-                let image_side = k.starts_with("broadphase.")
-                    || k.starts_with("coherence.")
-                    || (k.starts_with("raster.")
-                        && !matches!(
-                            *k,
-                            "raster.tiles_processed"
-                                | "raster.primitives_fetched"
-                                | "raster.fragments_collisionable"
-                        ));
-                !image_side
-            })
-            .collect()
-    };
-    let mut diverged = false;
-    let mut exact_scenes = scenes.clone();
-    exact_scenes.push(rbcd_workloads::cap());
-    for scene in &exact_scenes {
-        let frames = opts.frames.unwrap_or(scene.frames).min(scene.frames);
-        let gov = rbcd_gpu::GovernorConfig {
-            frame_budget_cycles: 25_000,
-            ..rbcd_gpu::GovernorConfig::default()
-        };
-        let legs: [(usize, bool, Option<rbcd_gpu::GovernorConfig>); 4] =
-            [(1, false, None), (2, true, None), (4, true, None), (2, false, Some(gov))];
-        for (threads, reuse, governor) in legs {
-            let run_mode = |broadphase: BroadPhase| {
-                let o = RunOptions { threads, reuse, broadphase, governor, ..opts.clone() };
-                run_gpu(scene, frames, &o, Some(RbcdConfig::default()))
-            };
-            let off = run_mode(BroadPhase::Off);
-            let on = run_mode(BroadPhase::On);
-            let governed = governor.is_some();
-            if kept(&off) != kept(&on)
-                || off.pairs != on.pairs
-                || (governed && (off.counters != on.counters || off.seconds != on.seconds))
-            {
-                eprintln!(
-                    "BROAD-PHASE DIVERGENCE on {} ({threads} threads, reuse {reuse}, governed \
-                     {governed}): pruning changed a protected result",
-                    scene.alias,
-                );
-                diverged = true;
-            }
-        }
-    }
-
-    // Exactness leg 2: fault storms. Corrupted draws carry no trusted
-    // bounds, so the broad phase must fall through to rendering them;
-    // every recovery statistic must match the off cell for cell.
-    for preset in ["storm", "overflow"] {
-        let plan = FaultPlan::preset(preset, 0xF207_7E4D).expect("preset exists");
-        let fault_scenes = [rbcd_workloads::sparse()];
-        let run_mode = |broadphase: BroadPhase| {
-            let o = RunOptions {
-                threads: 2,
-                broadphase,
-                frames: Some(opts.frames.unwrap_or(4).min(4)),
-                ..opts.clone()
-            };
-            run_fault_tolerance(&fault_scenes, preset, plan, &[2], &o)
-        };
-        let off = run_mode(BroadPhase::Off);
-        let on = run_mode(BroadPhase::On);
-        for (sa, sb) in off.scenes.iter().zip(&on.scenes) {
-            for (ca, cb) in sa.cells.iter().zip(&sb.cells) {
-                if ca != cb {
-                    eprintln!(
-                        "BROAD-PHASE DIVERGENCE under '{preset}' faults on {} M={}",
-                        sa.alias, ca.m
-                    );
-                    diverged = true;
-                }
-            }
-        }
-    }
-
-    // Exactness leg 3: the batch service. Per-session broad-phase state
-    // must behave exactly like each session running solo.
-    {
-        let frames = opts.frames.unwrap_or(2).min(2);
-        let policy = FramePolicy::new().with_reuse(true).with_broadphase(BroadPhase::On);
-        let build = || {
-            SimulatorBuilder::from_config(opts.gpu.clone())
-                .policy(policy)
-                .build()
-                .expect("benchmark GPU configurations are validated at construction")
-        };
-        let unit = || {
-            RbcdUnit::new(RbcdConfig::default(), opts.gpu.tile_size)
-                .expect("benchmark RBCD configurations are validated at construction")
-        };
-        let mut solo_stats = Vec::new();
-        for scene in &scenes {
-            let (mut sim, mut u) = (build(), unit());
-            let mut per_scene = Vec::new();
-            for f in 0..frames {
-                u.new_frame();
-                let trace = scene.frame_trace(f);
-                per_scene.push(sim.render_frame_parallel(&trace, PipelineMode::Rbcd, &mut u, 1));
-                let _ = u.take_contacts();
-            }
-            solo_stats.push(per_scene);
-        }
-        let mut sims: Vec<_> = scenes.iter().map(|_| build()).collect();
-        let mut units: Vec<_> = scenes.iter().map(|_| unit()).collect();
-        // `f` drives the frame-trace generation and the solo-stats
-        // lookup together, not a single indexed slice.
-        #[allow(clippy::needless_range_loop)]
-        for f in 0..frames {
-            let traces: Vec<_> = scenes.iter().map(|s| s.frame_trace(f)).collect();
-            let mut jobs: Vec<BatchJob<'_, RbcdUnit>> = sims
-                .iter_mut()
-                .zip(units.iter_mut())
-                .zip(&traces)
-                .map(|((sim, backend), trace)| BatchJob {
-                    sim,
-                    backend,
-                    trace,
-                    mode: PipelineMode::Rbcd,
-                })
-                .collect();
-            let batched = render_batch(&mut jobs, 2).expect("batch jobs are well-formed");
-            for u in units.iter_mut() {
-                let _ = u.take_contacts();
-                u.new_frame();
-            }
-            for (ji, stats) in batched.iter().enumerate() {
-                if *stats != solo_stats[ji][f] {
-                    eprintln!(
-                        "BROAD-PHASE DIVERGENCE in batch service: session {} frame {f} differs \
-                         from its solo run",
-                        scenes[ji].alias
-                    );
-                    diverged = true;
-                }
-            }
-        }
-    }
-    if diverged {
-        std::process::exit(1);
-    }
-
-    // Wall-clock leg: per scene, two simulator+unit stacks (one per
-    // mode) render the clip's frames in interleaved pairs. Each pair
-    // shares the same instantaneous machine state, so the per-pair
-    // ratio cancels common-mode noise; the reported speedup is the
-    // median of per-pair ratios and the per-pass times are per-mode
-    // minima. Reuse stays off so the measurement is pure pruning, not
-    // cache effects.
     let mut t = Table::new(
         "Screen-space broad phase — on vs off (host ns per rendered frame)",
         &["benchmark", "off ns", "on ns", "speedup", "tiles skipped", "identical"],
     );
-    let mut rows = Vec::new();
-    let mut speedups = Vec::new();
-    for scene in &scenes {
+    let (mut rows, mut speedups) = (Vec::new(), Vec::new());
+    for scene in scenes {
         let frames = opts.frames.unwrap_or(scene.frames).min(scene.frames);
         let traces: Vec<_> = (0..frames).map(|f| scene.frame_trace(f)).collect();
-        let make = |broadphase: BroadPhase| {
-            let sim = SimulatorBuilder::from_config(opts.gpu.clone())
-                .policy(FramePolicy::new().with_broadphase(broadphase))
-                .build()
-                .expect("benchmark GPU configurations are validated at construction");
-            let unit = RbcdUnit::new(RbcdConfig::default(), opts.gpu.tile_size)
-                .expect("benchmark RBCD configurations are validated at construction");
-            (sim, unit)
-        };
-        let (mut off_sim, mut off_unit) = make(BroadPhase::Off);
-        let (mut on_sim, mut on_unit) = make(BroadPhase::On);
-        let pass = |sim: &mut rbcd_gpu::Simulator, unit: &mut RbcdUnit| -> f64 {
+        let tm = knob.time(opts, reps, |_| {}, |sim, unit| {
             let t0 = Instant::now();
             for trace in &traces {
                 unit.new_frame();
@@ -2007,44 +1452,29 @@ fn run_broadphase_bench(opts: &RunOptions, smoke: bool) -> Result<(), TableError
                 let _ = unit.take_contacts();
             }
             t0.elapsed().as_secs_f64()
-        };
-        // Warm-up pass per mode so lazy allocations bill neither side.
-        let _ = pass(&mut off_sim, &mut off_unit);
-        let _ = pass(&mut on_sim, &mut on_unit);
-        let (mut off_ns, mut on_ns) = (f64::INFINITY, f64::INFINITY);
-        let mut ratios = Vec::with_capacity(reps);
-        for _ in 0..reps {
-            let toff = pass(&mut off_sim, &mut off_unit);
-            let ton = pass(&mut on_sim, &mut on_unit);
-            off_ns = off_ns.min(toff * 1e9 / frames as f64);
-            on_ns = on_ns.min(ton * 1e9 / frames as f64);
-            ratios.push(toff / ton.max(1e-12));
-        }
-        ratios.sort_by(|a, b| a.partial_cmp(b).expect("pass ratios are finite"));
-        let speedup = if ratios.len() % 2 == 1 {
-            ratios[ratios.len() / 2]
-        } else {
-            (ratios[ratios.len() / 2 - 1] + ratios[ratios.len() / 2]) / 2.0
-        };
-        speedups.push(speedup);
+        });
+        let (off_ns, on_ns) = (tm.a_min * 1e9 / frames as f64, tm.b_min * 1e9 / frames as f64);
+        speedups.push(tm.speedup);
         // Pruning accounting from a fresh broad-phase-on run.
-        let acct = run_gpu(
-            scene,
-            frames,
-            &RunOptions { broadphase: BroadPhase::On, ..opts.clone() },
-            Some(RbcdConfig::default()),
-        );
+        let acct = run_gpu(scene, frames, &knob.set(opts, true), Some(RbcdConfig::default()));
         let skipped = acct.counters.get("broadphase.tiles_skipped");
         let tiles = acct.counters.get("raster.tiles_processed");
         t.row(vec![
             scene.alias.to_string(),
             format!("{off_ns:.0}"),
             format!("{on_ns:.0}"),
-            fmt_x(speedup),
+            fmt_x(tm.speedup),
             format!("{skipped}/{tiles}"),
             "yes".to_string(),
         ])?;
-        rows.push((scene.alias.to_string(), off_ns, on_ns, speedup, skipped, tiles));
+        rows.push(vec![
+            ("name", ab::quoted(scene.alias)),
+            ("off_ns_per_frame", format!("{off_ns:.1}")),
+            ("on_ns_per_frame", format!("{on_ns:.1}")),
+            ("speedup", format!("{:.4}", tm.speedup)),
+            ("tiles_skipped", skipped.to_string()),
+            ("tiles_processed", tiles.to_string()),
+        ]);
     }
     print!("{}", t.render());
     let geo = geomean(speedups);
@@ -2053,29 +1483,12 @@ fn run_broadphase_bench(opts: &RunOptions, smoke: bool) -> Result<(), TableError
          behaviour bit-identical across threads, reuse, faults, governor, and batch)",
         fmt_x(geo)
     );
-
-    let mut json = rbcd_bench::schema::header("broadphase", geo);
-    json.push_str(&format!("  \"rendered_passes\": {reps},\n"));
-    json.push_str(&format!(
-        "  \"viewport\": \"{}x{}\",\n",
-        opts.gpu.viewport.width, opts.gpu.viewport.height
-    ));
-    json.push_str("  \"identical_results\": true,\n");
-    json.push_str(&format!("  \"speedup_geomean\": {geo:.4},\n"));
-    json.push_str("  \"scenes\": [\n");
-    for (i, (alias, off_ns, on_ns, speedup, skipped, tiles)) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"name\": \"{alias}\", \"off_ns_per_frame\": {off_ns:.1}, \
-             \"on_ns_per_frame\": {on_ns:.1}, \"speedup\": {speedup:.4}, \
-             \"tiles_skipped\": {skipped}, \"tiles_processed\": {tiles}}}{}\n",
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    let path = "BENCH_broadphase.json";
-    match rbcd_bench::schema::write(path, &json) {
-        Ok(_) => println!("wrote {path}"),
-        Err(e) => eprintln!("{path}: {e}"),
-    }
+    let fields = [
+        ("rendered_passes", reps.to_string()),
+        ("viewport", ab::viewport(opts)),
+        ("identical_results", "true".to_string()),
+        ("speedup_geomean", format!("{geo:.4}")),
+    ];
+    ab::write_artifact("BENCH_broadphase.json", schema::header("broadphase", geo), &fields, "scenes", &rows)?;
     Ok(())
 }

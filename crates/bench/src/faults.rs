@@ -20,7 +20,8 @@ use crate::runner::RunOptions;
 use rbcd_core::software::OracleUnit;
 use rbcd_core::{FaultLog, FaultPlan, RbcdConfig, RbcdUnit};
 use rbcd_cpu_cd::{CdBody, CpuCollisionDetector, Phase};
-use rbcd_gpu::{ObjectId, PipelineMode, Simulator};
+use rbcd_gpu::{FrameStats, ObjectId, PipelineMode, Simulator};
+use rbcd_trace::CounterSet;
 use rbcd_workloads::Scene;
 use std::collections::BTreeSet;
 
@@ -93,6 +94,11 @@ pub struct FaultSceneResult {
     pub frames: usize,
     /// One cell per `M` value.
     pub cells: Vec<FaultCell>,
+    /// The laddered run's counter registry per cell, in cell order:
+    /// every `geometry.*`/`raster.*` key plus the unit's `rbcd.*` keys.
+    /// Kept beside the cells, not in them, so whole-cell equality stays
+    /// a check on recovery statistics alone.
+    pub counters: Vec<CounterSet>,
 }
 
 /// The whole experiment.
@@ -135,20 +141,25 @@ pub fn run_fault_tolerance(
         .iter()
         .map(|scene| {
             let frames = opts.frames.unwrap_or(scene.frames);
-            let cells = m_values
+            let (cells, counters) = m_values
                 .iter()
                 .map(|&m| {
                     let plan = FaultPlan { forced_m: Some(m), ..base_plan };
                     run_cell(scene, frames, &plan, opts)
                 })
-                .collect();
-            FaultSceneResult { alias: scene.alias.to_string(), frames, cells }
+                .unzip();
+            FaultSceneResult { alias: scene.alias.to_string(), frames, cells, counters }
         })
         .collect();
     FaultToleranceResult { plan: plan_name.to_string(), seed: base_plan.seed, scenes }
 }
 
-fn run_cell(scene: &Scene, frames: usize, plan: &FaultPlan, opts: &RunOptions) -> FaultCell {
+fn run_cell(
+    scene: &Scene,
+    frames: usize,
+    plan: &FaultPlan,
+    opts: &RunOptions,
+) -> (FaultCell, CounterSet) {
     // The unit's hot path follows the simulator's (one knob switches
     // the whole pipeline, as in `runner::run_gpu`).
     let cfg = RbcdConfig { hot_path: opts.gpu.hot_path, ..ladder_config(plan) };
@@ -162,6 +173,7 @@ fn run_cell(scene: &Scene, frames: usize, plan: &FaultPlan, opts: &RunOptions) -
     let mut unit = RbcdUnit::new(cfg, opts.gpu.tile_size)
         .expect("the ladder configuration is valid by construction");
     let mut prev = *unit.stats();
+    let mut total = FrameStats::default();
 
     for f in 0..frames {
         let (trace, log) = plan.apply(&scene.frame_trace(f), f as u64);
@@ -171,6 +183,7 @@ fn run_cell(scene: &Scene, frames: usize, plan: &FaultPlan, opts: &RunOptions) -
         let gpu_stats =
             sim.render_frame_parallel(&trace, PipelineMode::Rbcd, &mut unit, opts.threads);
         cell.quarantined += gpu_stats.geometry.draws_quarantined;
+        total.accumulate(&gpu_stats);
         let gpu_pairs: BTreeSet<(ObjectId, ObjectId)> =
             unit.take_contacts().iter().map(|c| c.pair()).collect();
         let escalated = unit.take_escalated();
@@ -214,7 +227,9 @@ fn run_cell(scene: &Scene, frames: usize, plan: &FaultPlan, opts: &RunOptions) -
     cell.rung_rescan = s.rung_rescan;
     cell.rung_cpu = s.rung_cpu;
     cell.rescan_passes = s.rescan_passes;
-    cell
+    let mut counters = total.counter_set();
+    counters.accumulate(&s.counter_set());
+    (cell, counters)
 }
 
 /// Exact CPU detection over the escalated objects. Ids that don't map

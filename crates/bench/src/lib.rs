@@ -8,6 +8,7 @@
 
 #![warn(missing_docs)]
 
+pub mod ab;
 pub mod accuracy;
 pub mod cli;
 pub mod faults;

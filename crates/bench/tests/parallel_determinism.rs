@@ -318,12 +318,13 @@ fn hot_path_mask_matches_reference_across_arms() {
     // to the retained scalar reference in everything user-visible —
     // pairs, shared counters, derived time and energy — at any thread
     // count and with tile reuse on or off. The three host-side
-    // diagnostics only the mask path produces are the sole permitted
+    // diagnostics only the mask path produces (the `Knob::HotPath` row
+    // of the `rbcd_bench::ab` invariant table) are the sole permitted
     // difference, and they are excluded from energy.
+    use rbcd_bench::ab::Knob;
     use rbcd_gpu::HotPathMode;
-    const MASK_ONLY: [&str; 3] = ["raster.rows_empty", "raster.rows_full", "tile.scan_skipped"];
     let strip = |run: &GpuRun| -> Vec<(&'static str, u64)> {
-        run.counters.iter().filter(|(k, _)| !MASK_ONLY.contains(k)).collect()
+        run.counters.iter().filter(|(k, _)| !Knob::HotPath.may_move(k)).collect()
     };
     let run_mode = |scene: &rbcd_workloads::Scene, mode: HotPathMode, threads: usize, reuse| {
         let mut o = opts(threads);

@@ -22,6 +22,8 @@
 # (BENCH_geometry_frontend.json). The broad-phase smoke A/Bs the
 # screen-space broad phase against an unpruned run and fails on any
 # divergence or wall-clock regression (BENCH_broadphase.json). The
+# scene guards check that --scene narrows the A/B experiments (an
+# alias outside an experiment's family exits 2). The
 # overload smoke sweeps the
 # frame-deadline governor down to a 25% cycle budget under the storm
 # fault plan (repro exits non-zero on any budget violation or silent
@@ -93,7 +95,9 @@ fi
 echo "== hot-path smoke (repro --smoke hotpath) =="
 # A/B of the span-mask rasterizer against the retained reference path:
 # repro exits non-zero unless pairs, energy, and every shared counter
-# are bit-identical, then times both and writes
+# are bit-identical across thread counts, reuse on/off, fault storms, a
+# governed budget, and the batch service (the rbcd_bench::ab legs),
+# then times both and writes
 # BENCH_raster_hotpath.json. On top of that, guard against a wall-clock
 # regression: the mask hot path must never be slower than the scalar
 # reference it replaced.
@@ -141,6 +145,17 @@ geo=$(sed -n 's/.*"speedup_geomean": \([0-9.]*\).*/\1/p' BENCH_broadphase.json)
 [ -n "$geo" ] || { echo "broadphase smoke: no speedup_geomean in JSON"; exit 1; }
 awk -v g="$geo" 'BEGIN { exit (g >= 1.0) ? 0 : 1 }' \
   || { echo "broadphase smoke: broad phase slower than off (geomean ${geo}x)"; exit 1; }
+
+echo "== A/B --scene guards =="
+# The A/B experiments narrow their workload family with --scene: an
+# alias outside it is a usage error (exit 2), and a valid one writes an
+# artifact with exactly that one scene row.
+status=0
+"$repro" --smoke hotpath --scene nope > /dev/null 2>&1 || status=$?
+[ "$status" -eq 2 ] || { echo "scene guard: hotpath --scene nope exited $status, not 2"; exit 1; }
+"$repro" --smoke broadphase --scene sparse
+rows=$(grep -c '"name": ' BENCH_broadphase.json)
+[ "$rows" -eq 1 ] || { echo "scene guard: broadphase --scene sparse wrote $rows scene rows, not 1"; exit 1; }
 
 echo "== overload governor smoke (repro --smoke overload) =="
 # Sweeps the frame-deadline governor over 100/75/50/25 % cycle budgets
