@@ -12,8 +12,8 @@ use crate::runner::{run_gpu, RunOptions};
 use crate::schema::{self, SchemaError};
 use rbcd_core::{FaultPlan, ObjectPair, RbcdConfig, RbcdStats, RbcdUnit};
 use rbcd_gpu::{
-    render_batch, BatchJob, BroadPhase, FrameStats, FrontendMode, GovernorConfig, HotPathMode,
-    PipelineMode, Simulator, SimulatorBuilder,
+    render_batch, BatchJob, BroadPhase, BroadphaseStats, CoherenceStats, FrameStats, FrontendMode,
+    GovernorConfig, HotPathMode, PipelineMode, Simulator, SimulatorBuilder,
 };
 use rbcd_trace::CounterSet;
 use rbcd_workloads::Scene;
@@ -78,6 +78,28 @@ impl Knob {
                     || IMAGE_SIDE_RASTER_KEYS.contains(&key)
             }
         }
+    }
+
+    /// `s` with every counter this knob may move zeroed: what must stay
+    /// bit-identical between the knob's two arms. Zeroes exactly the
+    /// [`FrameStats`] keys [`Knob::may_move`] admits.
+    pub fn masked(self, mut s: FrameStats) -> FrameStats {
+        match self {
+            Knob::HotPath => (s.raster.rows_empty, s.raster.rows_full) = (0, 0),
+            Knob::Frontend => {
+                let g = &mut s.geometry;
+                (g.reuse_draws, g.shaded_draws, g.bin_splices) = (0, 0, 0);
+            }
+            Knob::BroadPhase => {
+                let r = &mut s.raster;
+                (r.cycles, r.fp_busy_cycles, r.fp_idle_cycles, r.zeb_stall_cycles) = (0, 0, 0, 0);
+                (r.fragments_rasterized, r.fragments_to_early_z, r.fragments_shaded) = (0, 0, 0);
+                (r.pixels_covered, r.rows_empty, r.rows_full) = (0, 0, 0);
+                s.coherence = CoherenceStats::default();
+                s.broadphase = BroadphaseStats::default();
+            }
+        }
+        s
     }
 
     /// Whether this knob may move the simulated timeline (seconds and
@@ -336,6 +358,7 @@ pub fn write_artifact(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rbcd_gpu::{CacheStats, GeometryStats, GovernorStats, RasterStats};
     use std::cell::RefCell;
 
     const ALL: [Knob; 3] = [Knob::HotPath, Knob::Frontend, Knob::BroadPhase];
@@ -434,6 +457,92 @@ mod tests {
         for knob in ALL {
             assert_eq!(knob.timeline_may_move(), knob == Knob::BroadPhase, "{knob:?}");
             assert_eq!(knob.inert_under_governor(), knob == Knob::BroadPhase, "{knob:?}");
+        }
+    }
+
+    /// A `FrameStats` with every field nonzero and distinct.
+    fn every_field_set() -> FrameStats {
+        let mut n = 0u64;
+        let mut next = || {
+            n += 1;
+            n
+        };
+        let mut cache = || CacheStats {
+            read_accesses: next(),
+            read_misses: next(),
+            write_accesses: next(),
+            write_misses: next(),
+        };
+        let (tile_cache_stores, vertex_cache, tile_cache_loads) = (cache(), cache(), cache());
+        let geometry = GeometryStats {
+            vertices_shaded: next(),
+            triangles_assembled: next(),
+            triangles_clipped_out: next(),
+            triangles_after_clip: next(),
+            triangles_culled: next(),
+            triangles_tagged: next(),
+            triangles_degenerate: next(),
+            draws_quarantined: next(),
+            bin_entries: next(),
+            prim_records: next(),
+            tile_cache_stores,
+            vertex_cache,
+            vp_busy_cycles: next(),
+            cycles: next(),
+            reuse_draws: next(),
+            shaded_draws: next(),
+            bin_splices: next(),
+        };
+        let raster = RasterStats {
+            tiles_processed: next(),
+            primitives_fetched: next(),
+            tile_cache_loads,
+            fragments_rasterized: next(),
+            fragments_collisionable: next(),
+            fragments_to_early_z: next(),
+            fragments_shaded: next(),
+            pixels_covered: next(),
+            rows_empty: next(),
+            rows_full: next(),
+            fp_busy_cycles: next(),
+            fp_idle_cycles: next(),
+            zeb_stall_cycles: next(),
+            cycles: next(),
+        };
+        let coherence = CoherenceStats {
+            draw_hashes: next(),
+            signature_cycles: next(),
+            tiles_checked: next(),
+            tiles_reused: next(),
+        };
+        let governor = GovernorStats {
+            breaker_trips: next(),
+            budget_cycles: next(),
+            stale_pairs: next(),
+            tiles_coarsened: next(),
+            tiles_shed: next(),
+        };
+        let broadphase = BroadphaseStats {
+            objects_swept: next(),
+            objects_infeasible: next(),
+            sweep_cycles: next(),
+            tiles_skipped: next(),
+        };
+        FrameStats { geometry, raster, coherence, governor, broadphase, frames: next() }
+    }
+
+    #[test]
+    fn masked_zeroes_exactly_the_keys_each_knob_may_move() {
+        let full = every_field_set().counter_set();
+        for (key, value) in full.iter() {
+            assert_ne!(value, 0, "{key} must start nonzero");
+        }
+        for knob in ALL {
+            let masked = knob.masked(every_field_set()).counter_set();
+            for (key, value) in full.iter() {
+                let want = if knob.may_move(key) { 0 } else { value };
+                assert_eq!(masked.get(key), want, "{knob:?}: {key}");
+            }
         }
     }
 

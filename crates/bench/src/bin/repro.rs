@@ -101,7 +101,7 @@ use rbcd_bench::{
     SuiteResult,
 };
 use rbcd_core::{FaultPlan, RbcdConfig};
-use rbcd_gpu::{GpuConfig, PipelineMode, Simulator};
+use rbcd_gpu::{BroadPhase, GpuConfig, PipelineMode, Simulator};
 use rbcd_workloads::Scene;
 use std::time::Instant;
 
@@ -269,6 +269,12 @@ fn run() -> Outcome {
             "tile reuse on the suite (2-ZEB RBCD leg): {reused} of {checked} tiles replayed \
              ({}); pass --no-reuse to disable",
             fmt_pct(reused as f64 / checked as f64)
+        );
+    }
+    if opts.broadphase == BroadPhase::On {
+        println!(
+            "broad phase off for the suite figures: eq. 1-4 compare against a baseline render, \
+             which cannot prune"
         );
     }
 

@@ -13,6 +13,7 @@
 //! `broadphase.*`) may move. A final arm replays the trace instants as
 //! an oracle: a tile the sweep skipped must never contain a contact.
 
+use rbcd_bench::ab::Knob;
 use rbcd_core::{ContactPoint, FaultPlan, ObjectPair, RbcdConfig, RbcdUnit};
 use rbcd_geometry::shapes;
 use rbcd_gpu::{
@@ -120,28 +121,6 @@ fn run_script(
     (frames, pairs, unit.stats().counter_set())
 }
 
-/// Zeroes the image-side planes — the only fields the exactness
-/// contract lets the broad phase move. Everything else (pairs, the
-/// `rbcd.*` counters, geometry, governor accounting, and the
-/// identical-by-construction raster counts like `tiles_processed`,
-/// `primitives_fetched`, and `fragments_collisionable`) must match the
-/// broad-phase-off run bit for bit.
-fn no_image_side(mut s: FrameStats) -> FrameStats {
-    s.raster.cycles = 0;
-    s.raster.fp_busy_cycles = 0;
-    s.raster.fp_idle_cycles = 0;
-    s.raster.zeb_stall_cycles = 0;
-    s.raster.fragments_rasterized = 0;
-    s.raster.fragments_to_early_z = 0;
-    s.raster.fragments_shaded = 0;
-    s.raster.pixels_covered = 0;
-    s.raster.rows_empty = 0;
-    s.raster.rows_full = 0;
-    s.coherence = Default::default();
-    s.broadphase = Default::default();
-    s
-}
-
 #[test]
 fn broadphase_matches_off_on_random_motion_scripts() {
     let frames = 4;
@@ -166,8 +145,8 @@ fn broadphase_matches_off_on_random_motion_scripts() {
                     assert_eq!(off.len(), on.len());
                     for (f, (a, b)) in off.iter().zip(&on).enumerate() {
                         assert_eq!(
-                            no_image_side(a.clone()),
-                            no_image_side(b.clone()),
+                            Knob::BroadPhase.masked(*a),
+                            Knob::BroadPhase.masked(*b),
                             "{tag}: frame {f} FrameStats diverged outside the image side"
                         );
                     }

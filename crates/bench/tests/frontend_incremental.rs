@@ -7,9 +7,13 @@
 //! overflow presets, and an active governor budget. Per-frame
 //! [`FrameStats`], collision pairs, and derived counters must match the
 //! rebuild run bit for bit; only the accounting-only `geom.*` counters
-//! may differ. A second arm pins the bounded cache: evicting down to a
-//! tiny capacity must change reuse rates, never results.
+//! may differ. The rebuild front-end itself must be thread-count
+//! invariant (it shades every draw on the pool at more than one
+//! worker) and must never touch the cache. A further arm pins the
+//! bounded cache: evicting down to a tiny capacity must change reuse
+//! rates, never results.
 
+use rbcd_bench::ab::Knob;
 use rbcd_core::{FaultPlan, ObjectPair, RbcdConfig, RbcdUnit};
 use rbcd_geometry::shapes;
 use rbcd_gpu::{
@@ -113,26 +117,21 @@ fn run_script(
     (frames, pairs)
 }
 
-/// Zeroes the accounting-only `geom.*` counters — the only fields the
-/// exactness contract lets the incremental front-end move.
-fn no_geom_accounting(mut s: FrameStats) -> FrameStats {
-    s.geometry.reuse_draws = 0;
-    s.geometry.shaded_draws = 0;
-    s.geometry.bin_splices = 0;
-    s
+/// The fault presets each motion script runs under.
+fn fault_plans() -> Vec<(&'static str, Option<FaultPlan>)> {
+    vec![
+        ("none", None),
+        ("storm", Some(FaultPlan::preset("storm", 0xF0_5EED).unwrap())),
+        ("overflow", Some(FaultPlan::preset("overflow", 0xF0_5EED).unwrap())),
+    ]
 }
 
 #[test]
 fn incremental_matches_rebuild_on_random_motion_scripts() {
     let frames = 4;
-    let faults: Vec<(&str, Option<FaultPlan>)> = vec![
-        ("none", None),
-        ("storm", Some(FaultPlan::preset("storm", 0xF0_5EED).unwrap())),
-        ("overflow", Some(FaultPlan::preset("overflow", 0xF0_5EED).unwrap())),
-    ];
     for seed in [11u64, 42] {
         let script = random_script(seed, frames);
-        for (fname, plan) in &faults {
+        for (fname, plan) in &fault_plans() {
             for reuse in [false, true] {
                 let (base, base_pairs) =
                     run_script(&script, FrontendMode::Rebuild, 1, reuse, plan.as_ref(), None);
@@ -152,7 +151,7 @@ fn incremental_matches_rebuild_on_random_motion_scripts() {
                     for (f, (a, b)) in base.iter().zip(&inc).enumerate() {
                         assert_eq!(
                             *a,
-                            no_geom_accounting(b.clone()),
+                            Knob::Frontend.masked(*b),
                             "{tag}: frame {f} FrameStats diverged"
                         );
                     }
@@ -163,6 +162,58 @@ fn incremental_matches_rebuild_on_random_motion_scripts() {
                     );
                 }
             }
+        }
+    }
+}
+
+/// With more than one worker, `Rebuild` misses every draw and so
+/// always shades on the pool: it must match its own 1-worker run.
+#[test]
+fn rebuild_matches_itself_across_thread_counts() {
+    for seed in [11u64, 42] {
+        let script = random_script(seed, 4);
+        for (fname, plan) in &fault_plans() {
+            let (base, base_pairs) =
+                run_script(&script, FrontendMode::Rebuild, 1, false, plan.as_ref(), None);
+            for threads in [2, 4] {
+                let (pooled, pooled_pairs) =
+                    run_script(&script, FrontendMode::Rebuild, threads, false, plan.as_ref(), None);
+                let tag = format!("seed {seed}, faults {fname}, {threads} threads");
+                assert_eq!(base_pairs, pooled_pairs, "{tag}: pair set diverged");
+                assert_eq!(base, pooled, "{tag}: FrameStats diverged");
+            }
+        }
+    }
+}
+
+/// `Rebuild` bypasses the geometry cache: it never fills it, and every
+/// `geom.*` counter reads 0 — also right after switching away from a
+/// warm incremental front-end, whose cache the switch drops.
+#[test]
+fn rebuild_never_touches_the_geometry_cache() {
+    let script = random_script(5, 6);
+    for threads in [1, 2] {
+        let mut sim = SimulatorBuilder::from_config(cfg())
+            .policy(FramePolicy::new().with_frontend(FrontendMode::Incremental))
+            .build()
+            .unwrap();
+        let mut unit = RbcdUnit::new(RbcdConfig::default(), cfg().tile_size).unwrap();
+        let (warm, rest) = script.split_at(2);
+        for trace in warm {
+            unit.new_frame();
+            sim.render_frame_parallel(trace, PipelineMode::Rbcd, &mut unit, threads);
+        }
+        assert!(sim.geom_cache_len() > 0, "the incremental frames fill the cache");
+        sim.set_frontend(FrontendMode::Rebuild);
+        for (f, trace) in rest.iter().enumerate() {
+            unit.new_frame();
+            let stats = sim.render_frame_parallel(trace, PipelineMode::Rbcd, &mut unit, threads);
+            let tag = format!("{threads} threads, rebuild frame {f}");
+            assert_eq!(sim.geom_cache_len(), 0, "{tag}: cache holds draws");
+            let counters = stats.counter_set();
+            let geom: Vec<_> = counters.iter().filter(|(k, _)| k.starts_with("geom.")).collect();
+            assert_eq!(geom.len(), 3, "{tag}: the registry carries three geom.* keys");
+            assert!(geom.iter().all(|&(_, v)| v == 0), "{tag}: {geom:?}");
         }
     }
 }
@@ -189,7 +240,7 @@ fn incremental_matches_rebuild_under_a_governed_budget() {
         for (f, (a, b)) in base.iter().zip(&inc).enumerate() {
             assert_eq!(
                 *a,
-                no_geom_accounting(b.clone()),
+                Knob::Frontend.masked(*b),
                 "governed frame {f} diverged at {threads} threads"
             );
         }
@@ -226,10 +277,10 @@ fn bounded_cache_evicts_without_changing_results() {
     let (roomy, roomy_pairs) = run_capped(&script, 64);
     let (tiny, tiny_pairs) = run_capped(&script, 2);
     for (f, (a, b)) in base.iter().zip(&roomy).enumerate() {
-        assert_eq!(*a, no_geom_accounting(b.clone()), "roomy cache diverged at frame {f}");
+        assert_eq!(*a, Knob::Frontend.masked(*b), "roomy cache diverged at frame {f}");
     }
     for (f, (a, b)) in base.iter().zip(&tiny).enumerate() {
-        assert_eq!(*a, no_geom_accounting(b.clone()), "tiny cache diverged at frame {f}");
+        assert_eq!(*a, Knob::Frontend.masked(*b), "tiny cache diverged at frame {f}");
     }
     assert_eq!(base_pairs, roomy_pairs);
     assert_eq!(base_pairs, tiny_pairs);

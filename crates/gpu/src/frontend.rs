@@ -1,32 +1,33 @@
-//! The incremental geometry front-end: per-draw transform/clip/bin
-//! caching with delta binning.
+//! The geometry front-end's per-draw shading and its incremental
+//! cache: per-draw transform/clip/bin caching with delta binning.
 //!
-//! The full-rebuild geometry pipeline re-transforms, re-clips,
-//! re-culls, and re-bins every draw of every frame — even when the
-//! temporal-coherence layer then discards most of the resulting tiles
-//! as unchanged. This module gives [`crate::Simulator`] a second
-//! front-end arrangement ([`FrontendMode::Incremental`]): a persistent
-//! per-draw geometry cache keyed by the coherence layer's draw content
-//! hash plus a viewport/config seed. A draw whose key hits the cache
-//! skips vertex shading, near-clipping, and face culling entirely; its
+//! [`shade_draw`] is the one per-draw geometry computation — transform,
+//! near-clip, cull/tag, pixel bounds, tile walk — and
+//! `Simulator::geometry_pipeline` the one loop around it. Under
+//! [`FrontendMode::Rebuild`] every draw misses and is shaded fresh each
+//! frame. [`FrontendMode::Incremental`] adds a persistent per-draw
+//! geometry cache keyed by the coherence layer's draw content hash plus
+//! a viewport/config seed. A draw whose key hits the cache skips vertex
+//! shading, near-clipping, and face culling entirely; its
 //! post-transform screen triangles and per-tile bin lists are *spliced*
 //! back into [`crate::sim::BinnedTiles`] in draw order. Draws that
-//! changed are shaded fresh — in parallel on the caller's worker pool —
-//! and merged deterministically.
+//! changed are shaded fresh — in parallel on the caller's worker pool
+//! under either front-end — and merged deterministically.
 //!
 //! ## Exactness contract
 //!
 //! Bins, pairs, every event counter, energy, and traces are
-//! bit-identical to the full-rebuild front-end. Three facts make this
+//! bit-identical between the two front-ends. Three facts make this
 //! hold by construction:
 //!
 //! 1. **Cache-model sequences are replayed, not skipped.** The vertex
 //!    cache and tile cache are access-order-dependent models feeding
-//!    the energy estimate, so the splice path re-issues the exact
+//!    the energy estimate, so the merge issues every draw's exact
 //!    per-draw read/write sequence (vertex fetch sweep, primitive
-//!    record store, bin-entry store) the rebuild path would issue, with
-//!    the current frame's draw index and record ids. Only the *host*
-//!    arithmetic (transform, clip, cull, bounds) is skipped.
+//!    record store, bin-entry store), with the current frame's draw
+//!    index and record ids, whether the draw was shaded or spliced.
+//!    Only the *host* arithmetic (transform, clip, cull, bounds) is
+//!    skipped.
 //! 2. **Every frame re-emits every draw in draw order.** Retraction of
 //!    a draw's previous-frame records is implicit: bins are laid out
 //!    per frame, and cached splices occupy exactly the slots a rebuild
@@ -38,9 +39,10 @@
 //!    emission order.
 //!
 //! Only the `geom.*` accounting counters (`reuse_draws`,
-//! `shaded_draws`, `bin_splices`) distinguish the two front-ends; they
-//! are mask-only diagnostics the energy model never reads, per the
-//! `tile.scan_skipped` convention.
+//! `shaded_draws`, `bin_splices`) distinguish the two front-ends: the
+//! incremental one counts them, and they read 0 under the rebuild one.
+//! They are mask-only diagnostics the energy model never reads, per
+//! the `tile.scan_skipped` convention.
 //!
 //! Faults compose for free: `FaultPlan` mutates the frame trace on the
 //! main thread *before* rendering, minting fresh `Arc<Mesh>`
@@ -59,18 +61,21 @@ use rbcd_math::{viewport as viewport_map, Mat4, Vec4};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
-/// Which geometry front-end arrangement the simulator runs.
+/// Whether the geometry front-end caches per-draw geometry across
+/// frames. Both run the one front-end path; they differ only in whether
+/// the per-draw geometry cache is consulted.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum FrontendMode {
-    /// Re-transform, re-clip, and re-bin every draw every frame (the
-    /// historical arrangement; the library default).
+    /// The cache is bypassed: every draw misses and is re-transformed,
+    /// re-clipped, and re-binned every frame, and the cache is never
+    /// read or written (the library default, and the reference the
+    /// incremental arm is checked against).
     #[default]
     Rebuild,
     /// Cache each draw's post-transform geometry by content hash and
-    /// splice unchanged draws' bins instead of recomputing them; shade
-    /// changed draws in parallel. Bit-identical results (see the
-    /// module docs); only host wall-clock and the `geom.*` accounting
-    /// counters differ.
+    /// splice unchanged draws' bins instead of recomputing them.
+    /// Bit-identical results (see the module docs); only host
+    /// wall-clock and the `geom.*` accounting counters differ.
     Incremental,
 }
 
@@ -95,9 +100,9 @@ pub(crate) struct CachedTri {
     pub(crate) tiles_end: u32,
 }
 
-/// One draw's cached post-transform geometry: the stat deltas its
-/// processing produced and the surviving triangles with their tile
-/// lists, exactly as the rebuild front-end would emit them.
+/// One draw's post-transform geometry: the stat deltas its processing
+/// produced and the surviving triangles with their tile lists, in
+/// emission order.
 #[derive(Debug, Default)]
 pub(crate) struct CachedDrawGeom {
     /// Vertices the draw shades (`mesh.positions().len()`); drives the
@@ -119,7 +124,7 @@ pub(crate) struct CachedDrawGeom {
     /// Surviving triangles in emission order.
     pub(crate) tris: Vec<CachedTri>,
     /// Flattened per-triangle tile indices (see [`CachedTri::tiles_end`]),
-    /// in the rebuild path's row-major bbox walk order.
+    /// in row-major bbox walk order.
     pub(crate) tiles: Vec<u32>,
     /// Screen-space bounds of the draw's binned triangles (pixel AABB +
     /// window z-interval), folded once at shade time so the broad phase
@@ -150,29 +155,35 @@ pub(crate) fn geom_seed(cfg: &GpuConfig, mode: PipelineMode, view_proj: &Mat4) -
     h
 }
 
-/// Shades one draw: transform, near-clip, face cull/tag, pixel bounds,
-/// and tile assignment — the exact per-draw computation of the rebuild
-/// front-end, minus its cache-model traffic and stat accumulation
-/// (both replayed at splice time). Pure with respect to the simulator:
-/// reads only its arguments, so missed draws can shade on any thread.
-/// `clip_scratch` is caller-owned scratch for the post-transform
-/// positions (zero steady-state allocations per worker).
+/// Shades one draw into `out`: transform, near-clip, face cull/tag,
+/// pixel bounds, and tile assignment — the one per-draw geometry
+/// computation, minus its cache-model traffic and stat accumulation
+/// (both replayed when the draw is merged). Pure with respect to the
+/// simulator: reads only its arguments, so missed draws can shade on
+/// any thread. `clip_scratch` holds the post-transform positions, and
+/// `out` keeps its buffers' capacity, so a reused pair of scratches
+/// shades without allocating.
 pub(crate) fn shade_draw(
     draw: &DrawCommand,
     view_proj: &Mat4,
     cfg: &GpuConfig,
     mode: PipelineMode,
     clip_scratch: &mut Vec<Vec4>,
-) -> CachedDrawGeom {
+    out: &mut CachedDrawGeom,
+) {
     let (vw, vh) = (cfg.viewport.width, cfg.viewport.height);
     let tiles_x = cfg.tiles_x();
     let mvp = *view_proj * draw.model;
     clip_scratch.clear();
     clip_scratch.extend(draw.mesh.positions().iter().map(|&p| mvp.transform_vec4(p.extend(1.0))));
 
-    let mut out = CachedDrawGeom {
+    out.tris.clear();
+    out.tiles.clear();
+    *out = CachedDrawGeom {
         verts: clip_scratch.len() as u64,
         tris_in: draw.mesh.indices().len() as u64,
+        tris: std::mem::take(&mut out.tris),
+        tiles: std::mem::take(&mut out.tiles),
         ..CachedDrawGeom::default()
     };
     for &[ia, ib, ic] in draw.mesh.indices() {
@@ -220,7 +231,6 @@ pub(crate) fn shade_draw(
             out.tris.push(CachedTri { tri, facing, tagged_cull, tiles_end: out.tiles.len() as u32 });
         }
     }
-    out
 }
 
 /// A cached draw plus its recency stamp.

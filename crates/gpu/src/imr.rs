@@ -16,11 +16,11 @@
 //! the unit is evaluated on a TBR baseline.
 
 use crate::cache::CacheModel;
-use crate::clip::clip_near;
 use crate::command::FrameTrace;
 use crate::config::GpuConfig;
-use crate::raster::{rasterize_triangle_in_tile, Fragment, ScreenTriangle};
-use rbcd_math::viewport as viewport_map;
+use crate::frontend::{shade_draw, CachedDrawGeom};
+use crate::raster::{rasterize_triangle_in_tile, Fragment};
+use crate::sim::PipelineMode;
 
 /// Counters and timing of one IMR frame.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -85,62 +85,41 @@ impl ImrSimulator {
         let mut written = vec![false; (vw * vh) as usize];
 
         let view_proj = trace.camera.view_proj();
+        let mut clip_scratch = Vec::new();
+        let mut geom = CachedDrawGeom::default();
         for draw in &trace.draws {
-            let mvp = view_proj * draw.model;
-            let clip_pos: Vec<rbcd_math::Vec4> = draw
-                .mesh
-                .positions()
-                .iter()
-                .map(|&p| mvp.transform_vec4(p.extend(1.0)))
-                .collect();
-            s.vertices_shaded += clip_pos.len() as u64;
-            s.vp_busy_cycles += clip_pos.len() as u64 * draw.shader.vertex_cycles as u64;
-
-            for &[ia, ib, ic] in draw.mesh.indices() {
-                s.triangles_assembled += 1;
-                for [ca, cb, cc] in clip_near(
-                    clip_pos[ia as usize],
-                    clip_pos[ib as usize],
-                    clip_pos[ic as usize],
-                ) {
-                    let to_window =
-                        |v: rbcd_math::Vec4| viewport_map(v.project(), cfg.viewport);
-                    let tri = ScreenTriangle::new(to_window(ca), to_window(cb), to_window(cc));
-                    let Some(facing) = tri.facing() else { continue };
-                    if draw.cull.culls(facing) {
-                        s.triangles_culled += 1;
-                        continue;
-                    }
-                    self.frag_scratch.clear();
-                    // Immediate mode has no tiles: rasterize against the
-                    // whole viewport (modelled as one viewport-sized tile).
-                    let n = rasterize_triangle_in_tile(
-                        &tri,
-                        0,
-                        0,
-                        vw.max(vh),
-                        vw,
-                        vh,
-                        &mut self.frag_scratch,
-                    ) as u64;
-                    s.fragments_rasterized += n;
-                    for f in &self.frag_scratch {
-                        let idx = (f.y * vw + f.x) as usize;
-                        // Depth test: read (and on pass, write) the
-                        // memory-resident Z-buffer through the L2.
-                        self.l2.read(ZBUF_BASE + idx as u64 * 4);
-                        if f.z < self.zbuf[idx] {
-                            self.zbuf[idx] = f.z;
-                            self.l2.write(ZBUF_BASE + idx as u64 * 4);
-                            s.fragments_shaded += 1;
-                            s.fp_busy_cycles += draw.shader.fragment_cycles as u64;
-                            // Colour write to the memory-resident buffer.
-                            self.l2.write(CBUF_BASE + idx as u64 * 4);
-                            if written[idx] {
-                                s.overdraw_writes += 1;
-                            }
-                            written[idx] = true;
+            // The TBR front-end's per-draw shading, culling as a plain
+            // renderer does. It drops triangles off the viewport, which
+            // would rasterize to no fragments here anyway.
+            shade_draw(draw, &view_proj, &cfg, PipelineMode::Baseline, &mut clip_scratch, &mut geom);
+            s.vertices_shaded += geom.verts;
+            s.vp_busy_cycles += geom.verts * draw.shader.vertex_cycles as u64;
+            s.triangles_assembled += geom.tris_in;
+            s.triangles_culled += geom.culled;
+            for t in &geom.tris {
+                self.frag_scratch.clear();
+                // Immediate mode has no tiles: rasterize against the
+                // whole viewport (modelled as one viewport-sized tile).
+                let n =
+                    rasterize_triangle_in_tile(&t.tri, 0, 0, vw.max(vh), vw, vh, &mut self.frag_scratch)
+                        as u64;
+                s.fragments_rasterized += n;
+                for f in &self.frag_scratch {
+                    let idx = (f.y * vw + f.x) as usize;
+                    // Depth test: read (and on pass, write) the
+                    // memory-resident Z-buffer through the L2.
+                    self.l2.read(ZBUF_BASE + idx as u64 * 4);
+                    if f.z < self.zbuf[idx] {
+                        self.zbuf[idx] = f.z;
+                        self.l2.write(ZBUF_BASE + idx as u64 * 4);
+                        s.fragments_shaded += 1;
+                        s.fp_busy_cycles += draw.shader.fragment_cycles as u64;
+                        // Colour write to the memory-resident buffer.
+                        self.l2.write(CBUF_BASE + idx as u64 * 4);
+                        if written[idx] {
+                            s.overdraw_writes += 1;
                         }
+                        written[idx] = true;
                     }
                 }
             }
@@ -176,7 +155,7 @@ impl ImrSimulator {
 mod tests {
     use super::*;
     use crate::command::{Camera, DrawCommand};
-    use crate::sim::{PipelineMode, Simulator};
+    use crate::sim::Simulator;
     use crate::NullCollisionUnit;
     use rbcd_geometry::shapes;
     use rbcd_math::{Mat4, Vec3, Viewport};

@@ -287,15 +287,9 @@ impl Simulator {
         };
 
         if reuse_on {
-            // The incremental front-end already hashed this frame's
-            // draws (its cache key shares the digest); reuse them
-            // instead of hashing twice. Host-side memoization only —
-            // the simulated per-draw hand-off charge below is the same
-            // either way.
-            if !self.draw_hashes_ready {
-                coherence::hash_draws_memo(trace, &mut self.draw_hashes, &mut self.mesh_memo);
-            }
-            self.draw_hashes_ready = false;
+            // The geometry front-end already hashed this frame's draws
+            // (its cache key shares the digest). The simulated per-draw
+            // hand-off is charged below.
             co.draw_hashes = self.draw_hashes.len() as u64;
             // The blocked-object filter changes what the backend sees,
             // so the blocked set is folded into the frame seed: cached

@@ -2,7 +2,6 @@
 
 use crate::broadphase::{BroadPhase, DrawBounds, SweepScratch};
 use crate::cache::CacheModel;
-use crate::clip::clip_near;
 use crate::coherence::{self, MeshHashMemo, TileResultCache};
 use crate::collision_unit::{CollisionFragment, TileCoord};
 use crate::command::{Facing, FrameTrace, ObjectId};
@@ -13,7 +12,7 @@ use crate::raster::{
     rasterize_triangle_in_tile, rasterize_triangle_in_tile_masked_rows, Fragment, ScreenTriangle,
 };
 use crate::stats::{BroadphaseStats, FrameStats, GeometryStats, GovernorStats, RasterStats};
-use rbcd_math::{viewport as viewport_map, Vec3, Vec4};
+use rbcd_math::{Mat4, Vec4};
 use rbcd_trace::{TileZebRecord, TraceBuffer};
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -396,7 +395,7 @@ pub struct Simulator {
     pub(crate) boost_plan: Vec<u8>,
     /// The last governed frame's report, taken by the host.
     pub(crate) governor_report: Option<GovernorFrameReport>,
-    /// Geometry front-end arrangement (full rebuild by default; see
+    /// Geometry front-end mode (cache bypassed by default; see
     /// [`Simulator::set_frontend`]).
     pub(crate) frontend: FrontendMode,
     /// Persistent per-draw geometry cache of the incremental front-end.
@@ -404,18 +403,19 @@ pub struct Simulator {
     /// Pointer-keyed mesh content-hash memo shared by the incremental
     /// front-end and the coherence layer's per-frame draw hashing.
     pub(crate) mesh_memo: MeshHashMemo,
-    /// Whether `draw_hashes` already holds this frame's hashes (set by
-    /// the incremental front-end so `plan_raster` does not re-hash).
-    pub(crate) draw_hashes_ready: bool,
     /// Post-transform clip-space positions of the draw being shaded
     /// (scratch, reused across draws and frames).
     pub(crate) vertex_scratch: Vec<Vec4>,
+    /// Geometry of the draw being shaded inline (scratch, reused across
+    /// draws and frames; the incremental front-end moves it into the
+    /// cache on a miss).
+    pub(crate) geom_scratch: CachedDrawGeom,
     /// Screen-space broad-phase knob (off by default; see
     /// [`Simulator::set_broadphase`]).
     pub(crate) broadphase: BroadPhase,
     /// Per-draw screen bounds of the current frame (scratch, reused);
-    /// filled by the geometry front-ends only when the broad phase is
-    /// on, so the default path pays nothing.
+    /// filled by the geometry front-end only when the broad phase is
+    /// on.
     pub(crate) draw_bounds: Vec<DrawBounds>,
     /// Per-tile broad-phase skip decisions of the current frame
     /// (scratch, reused): one flag per *active-list position*. Empty
@@ -433,14 +433,60 @@ pub struct Simulator {
 const RECORD_BASE: u64 = 1 << 40;
 const BIN_BASE: u64 = 2 << 40;
 
-/// One live draw's plan entry in the incremental front-end: its index,
-/// cache key, whether the geometry cache hit, and the geometry to
-/// splice (filled by the shading stage for misses).
+/// One live draw's plan entry in the geometry front-end: its index,
+/// cache key, whether the geometry cache hit, and the geometry to splice
+/// (a cached draw's, or a pool-shaded miss's; `None` for a miss shaded
+/// inline during the merge).
 struct DrawPlan {
     draw: u32,
     key: u64,
     hit: bool,
     geom: Option<Arc<CachedDrawGeom>>,
+}
+
+/// Shades every miss of `plan` on a scoped pool of up to `threads`
+/// workers. Shading is a pure function of (draw, view-projection,
+/// config, mode), so the fan-out shares no mutable state, and results
+/// land back by plan position for the ordered merge.
+fn shade_pooled(
+    trace: &FrameTrace,
+    view_proj: &Mat4,
+    cfg: &GpuConfig,
+    mode: PipelineMode,
+    threads: usize,
+    plan: &mut [DrawPlan],
+) {
+    let missing: Vec<(usize, u32)> =
+        plan.iter().enumerate().filter(|(_, p)| !p.hit).map(|(i, p)| (i, p.draw)).collect();
+    let next = AtomicUsize::new(0);
+    let missing = &missing[..];
+    let batches: Vec<Vec<(usize, Arc<CachedDrawGeom>)>> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..threads.min(missing.len()))
+            .map(|_| {
+                let next = &next;
+                s.spawn(move || {
+                    let mut scratch: Vec<Vec4> = Vec::new();
+                    let mut done = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= missing.len() {
+                            break;
+                        }
+                        let (pi, di) = missing[i];
+                        let mut geom = CachedDrawGeom::default();
+                        let draw = &trace.draws[di as usize];
+                        frontend::shade_draw(draw, view_proj, cfg, mode, &mut scratch, &mut geom);
+                        done.push((pi, Arc::new(geom)));
+                    }
+                    done
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().expect("geometry shading worker panicked")).collect()
+    });
+    for (pi, geom) in batches.into_iter().flatten() {
+        plan[pi].geom = Some(geom);
+    }
 }
 
 /// Replays tile `ti`'s Tile Fetcher accesses (bin entry + shared
@@ -459,16 +505,9 @@ pub(crate) fn replay_tile_cache(
     }
 }
 
-/// Folds one tile's results into the frame stats and the rasterizer
-/// timeline. `start` is when the tile was dispatched (`cursor` plus any
-/// ZEB stall); returns the tile's end cycle.
-pub(crate) fn accumulate_tile(
-    r: &mut RasterStats,
-    cfg: &GpuConfig,
-    o: &TileRasterOut,
-    cursor: u64,
-    start: u64,
-) -> u64 {
+/// Adds one tile's workload counters to the frame stats — the part a
+/// computed tile and a replayed one report alike.
+fn add_tile_counts(r: &mut RasterStats, o: &TileRasterOut) {
     r.tiles_processed += 1;
     r.primitives_fetched += o.prim_count;
     r.fragments_rasterized += o.frags;
@@ -479,6 +518,19 @@ pub(crate) fn accumulate_tile(
     r.rows_empty += o.rows_empty;
     r.rows_full += o.rows_full;
     r.fp_busy_cycles += o.fp_work;
+}
+
+/// Folds one tile's results into the frame stats and the rasterizer
+/// timeline. `start` is when the tile was dispatched (`cursor` plus any
+/// ZEB stall); returns the tile's end cycle.
+pub(crate) fn accumulate_tile(
+    r: &mut RasterStats,
+    cfg: &GpuConfig,
+    o: &TileRasterOut,
+    cursor: u64,
+    start: u64,
+) -> u64 {
+    add_tile_counts(r, o);
 
     // Per-tile wall time. The Tile Fetcher prefetches the next tile's
     // polygon list while the current tile rasterizes, so its misses
@@ -511,16 +563,7 @@ pub(crate) fn accumulate_reused_tile(
     cursor: u64,
     sig_cycles: u64,
 ) -> u64 {
-    r.tiles_processed += 1;
-    r.primitives_fetched += o.prim_count;
-    r.fragments_rasterized += o.frags;
-    r.fragments_collisionable += o.coll_frags;
-    r.fragments_to_early_z += o.to_early_z;
-    r.pixels_covered += o.pixels_covered;
-    r.fragments_shaded += o.shaded;
-    r.rows_empty += o.rows_empty;
-    r.rows_full += o.rows_full;
-    r.fp_busy_cycles += o.fp_work;
+    add_tile_counts(r, o);
     r.fp_idle_cycles += sig_cycles;
     cursor + sig_cycles
 }
@@ -561,8 +604,8 @@ impl Simulator {
             frontend: FrontendMode::default(),
             geom_cache: GeomCache::with_capacity(frontend::DEFAULT_GEOM_CACHE_DRAWS),
             mesh_memo: MeshHashMemo::default(),
-            draw_hashes_ready: false,
             vertex_scratch: Vec::new(),
+            geom_scratch: CachedDrawGeom::default(),
             broadphase: BroadPhase::default(),
             draw_bounds: Vec::new(),
             bp_plan: Vec::new(),
@@ -673,18 +716,21 @@ impl Simulator {
         self.bp_stats
     }
 
-    /// Selects the geometry front-end arrangement
-    /// ([`FrontendMode::Rebuild`] by default).
+    /// Selects whether the geometry front-end caches per-draw geometry
+    /// ([`FrontendMode::Rebuild`], which bypasses the cache, by
+    /// default).
     ///
-    /// With [`FrontendMode::Incremental`], draws whose content hash
-    /// (plus camera/viewport/mode seed) matches a cached entry skip
-    /// vertex shading, near-clipping, and face culling; their screen
-    /// triangles and bin records are spliced from the per-draw geometry
-    /// cache, and changed draws are shaded in parallel on the caller's
-    /// worker pool. Every result — bins, pairs, event counters, energy,
-    /// traces — is bit-identical to the rebuild front-end; only host
-    /// wall-clock and the `geom.*` accounting counters differ (see
-    /// `crate::frontend`).
+    /// Both modes run the same front-end: draws that miss are shaded on
+    /// the caller's worker pool when it has more than one worker. Under
+    /// [`FrontendMode::Rebuild`] every draw misses. Under
+    /// [`FrontendMode::Incremental`], draws whose content hash (plus
+    /// camera/viewport/mode seed) matches a cached entry skip vertex
+    /// shading, near-clipping, and face culling; their screen triangles
+    /// and bin records are spliced from the per-draw geometry cache.
+    /// Every result — bins, pairs, event counters, energy, traces — is
+    /// bit-identical either way; only host wall-clock and the `geom.*`
+    /// accounting counters, counted only under `Incremental`, differ
+    /// (see `crate::frontend`).
     ///
     /// Switching back to [`FrontendMode::Rebuild`] drops the cache, so
     /// a later re-enable starts cold.
@@ -692,11 +738,10 @@ impl Simulator {
         self.frontend = mode;
         if mode == FrontendMode::Rebuild {
             self.geom_cache.clear();
-            self.draw_hashes_ready = false;
         }
     }
 
-    /// The active geometry front-end arrangement.
+    /// The active geometry front-end mode.
     pub fn frontend(&self) -> FrontendMode {
         self.frontend
     }
@@ -816,33 +861,28 @@ impl Simulator {
     }
 
     /// Geometry Pipeline: vertex processing, primitive assembly,
-    /// clipping, (deferred) face culling, and binning into `self.bins`,
-    /// with an explicit worker-thread count for the incremental
-    /// front-end's parallel shading stage. Results are bit-identical at
-    /// any `threads` (and to the rebuild front-end); the thread count
-    /// affects host wall-clock only.
+    /// clipping, (deferred) face culling, and binning into `self.bins`.
+    ///
+    /// One path serves both front-ends. Draws are classified in draw
+    /// order: under [`FrontendMode::Incremental`] each looks up the
+    /// per-draw geometry cache, under [`FrontendMode::Rebuild`] every
+    /// draw misses and the cache is never read or written. Misses are
+    /// shaded by [`frontend::shade_draw`] — on a scoped pool when
+    /// `threads > 1` and more than one draw missed, otherwise inline
+    /// into the simulator-owned scratch during the merge — and every
+    /// draw is merged in draw order, replaying its exact cache-model
+    /// access sequence (see `crate::frontend` for the contract). Results
+    /// are bit-identical at any `threads` and under either front-end;
+    /// only host wall-clock and the `geom.*` accounting counters, which
+    /// only the incremental front-end counts, differ.
     pub(crate) fn geometry_pipeline(
         &mut self,
         trace: &FrameTrace,
         mode: PipelineMode,
         threads: usize,
     ) -> GeometryStats {
-        match self.frontend {
-            FrontendMode::Rebuild => {
-                self.draw_hashes_ready = false;
-                self.geometry_rebuild(trace, mode)
-            }
-            FrontendMode::Incremental => self.geometry_incremental(trace, mode, threads),
-        }
-    }
-
-    /// The full-rebuild front-end: every draw transformed, clipped,
-    /// culled, and binned from scratch.
-    fn geometry_rebuild(&mut self, trace: &FrameTrace, mode: PipelineMode) -> GeometryStats {
-        let cfg = &self.config;
-        let (vw, vh) = (cfg.viewport.width, cfg.viewport.height);
-        let (tiles_x, tiles_y) = (cfg.tiles_x(), cfg.tiles_y());
-        self.bins.begin_frame((tiles_x * tiles_y) as usize);
+        let tiles_x = self.config.tiles_x();
+        self.bins.begin_frame((tiles_x * self.config.tiles_y()) as usize);
         let mut g = GeometryStats::default();
         self.vertex_cache.reset_stats();
         self.tile_cache.reset_stats();
@@ -851,154 +891,18 @@ impl Simulator {
         if bp {
             self.draw_bounds.resize(trace.draws.len(), DrawBounds::default());
         }
-
         let view_proj = trace.camera.view_proj();
-        let mut record_counter: u64 = 0;
         // Draw log for the tracer: (index, vertices, triangles). Filled
         // only when tracing, emitted once the phase's cycle count is
         // known (per-draw timing is not modelled below phase
         // granularity).
         let mut draw_log: Vec<(u64, u64, u64)> = Vec::new();
 
-        for (draw_idx, draw) in trace.draws.iter().enumerate() {
-            if mode == PipelineMode::CollisionOnly && draw.collidable.is_none() {
-                continue; // only collisionable commands are submitted
-            }
-            // Ingest validation (always on the main-thread geometry path,
-            // so quarantine decisions are thread-count independent):
-            // forged ids and non-finite input never reach the rasterizer.
-            if draw.validate().is_err() {
-                g.draws_quarantined += 1;
-                continue;
-            }
-            let mvp = view_proj * draw.model;
-            // Vertex fetch + shade: each vertex processed once, into
-            // the simulator-owned scratch (no per-draw allocation).
-            let base_addr = (draw_idx as u64) << 32;
-            self.vertex_scratch.clear();
-            for (vi, &p) in draw.mesh.positions().iter().enumerate() {
-                self.vertex_cache
-                    .read_span(base_addr + vi as u64 * cfg.vertex_record_bytes, cfg.vertex_record_bytes);
-                self.vertex_scratch.push(mvp.transform_vec4(p.extend(1.0)));
-            }
-            let clip_pos = &self.vertex_scratch;
-            g.vertices_shaded += clip_pos.len() as u64;
-            g.vp_busy_cycles += clip_pos.len() as u64 * draw.shader.vertex_cycles as u64;
-            if self.tracer.is_some() {
-                draw_log.push((
-                    draw_idx as u64,
-                    clip_pos.len() as u64,
-                    draw.mesh.indices().len() as u64,
-                ));
-            }
-
-            for &[ia, ib, ic] in draw.mesh.indices() {
-                g.triangles_assembled += 1;
-                let (a, b, c) = (
-                    clip_pos[ia as usize],
-                    clip_pos[ib as usize],
-                    clip_pos[ic as usize],
-                );
-                let clipped = clip_near(a, b, c);
-                if clipped.is_empty() {
-                    g.triangles_clipped_out += 1;
-                    continue;
-                }
-                for [ca, cb, cc] in clipped {
-                    g.triangles_after_clip += 1;
-                    let to_window = |v: rbcd_math::Vec4| -> Vec3 {
-                        viewport_map(v.project(), cfg.viewport)
-                    };
-                    let tri = ScreenTriangle::new(to_window(ca), to_window(cb), to_window(cc));
-                    let Some(facing) = tri.facing() else {
-                        g.triangles_degenerate += 1;
-                        continue;
-                    };
-                    let culled = draw.cull.culls(facing);
-                    let mut tagged_cull = false;
-                    if culled {
-                        match (mode, draw.collidable) {
-                            (PipelineMode::Rbcd | PipelineMode::CollisionOnly, Some(_)) => {
-                                tagged_cull = true;
-                                g.triangles_tagged += 1;
-                            }
-                            _ => {
-                                g.triangles_culled += 1;
-                                continue;
-                            }
-                        }
-                    }
-                    let Some((x0, y0, x1, y1)) = tri.pixel_bounds(vw, vh) else {
-                        g.triangles_degenerate += 1;
-                        continue;
-                    };
-                    if bp {
-                        self.draw_bounds[draw_idx].add_tri(&tri, (x0, y0, x1, y1));
-                    }
-
-                    // Write the primitive record once.
-                    let record = record_counter;
-                    record_counter += 1;
-                    self.tile_cache
-                        .write_span(RECORD_BASE + record * cfg.prim_record_bytes, cfg.prim_record_bytes);
-                    g.prim_records += 1;
-
-                    // Bin into every overlapped tile (bbox-conservative).
-                    let (tx0, tx1) = (x0 / cfg.tile_size, x1 / cfg.tile_size);
-                    let (ty0, ty1) = (y0 / cfg.tile_size, y1 / cfg.tile_size);
-                    for ty in ty0..=ty1 {
-                        for tx in tx0..=tx1 {
-                            let ti = (ty * tiles_x + tx) as usize;
-                            let entry = self.bins.push(ti, BinnedPrim {
-                                tri,
-                                facing,
-                                draw: draw_idx as u32,
-                                record,
-                                tagged_cull,
-                            });
-                            self.tile_cache
-                                .write_span(BIN_BASE + ((ti as u64) << 24) + entry * 8, 8);
-                            g.bin_entries += 1;
-                        }
-                    }
-                }
-            }
-        }
-        self.seal_geometry(g, &draw_log)
-    }
-
-    /// The incremental front-end: classify every draw against the
-    /// per-draw geometry cache, shade the misses (in parallel when
-    /// `threads > 1`), then merge in draw order — splicing cached
-    /// triangles and replaying each draw's exact cache-model access
-    /// sequence so every counter matches the rebuild path bit for bit
-    /// (see `crate::frontend` for the full contract).
-    fn geometry_incremental(
-        &mut self,
-        trace: &FrameTrace,
-        mode: PipelineMode,
-        threads: usize,
-    ) -> GeometryStats {
-        let tiles_x = self.config.tiles_x();
-        let tiles_y = self.config.tiles_y();
-        self.bins.begin_frame((tiles_x * tiles_y) as usize);
-        let mut g = GeometryStats::default();
-        self.vertex_cache.reset_stats();
-        self.tile_cache.reset_stats();
-        let bp = self.broadphase == BroadPhase::On;
-        self.draw_bounds.clear();
-        if bp {
-            self.draw_bounds.resize(trace.draws.len(), DrawBounds::default());
-        }
-        let view_proj = trace.camera.view_proj();
-        let mut record_counter: u64 = 0;
-        let mut draw_log: Vec<(u64, u64, u64)> = Vec::new();
-
-        // Per-draw content hashes, memoized per mesh allocation. The
-        // coherence layer needs the same hashes this frame, so
-        // `plan_raster` picks them up instead of re-hashing.
+        // Per-draw content hashes, memoized per mesh allocation: the
+        // geometry cache key below and the coherence layer's tile
+        // signatures in `plan_raster` share them.
         coherence::hash_draws_memo(trace, &mut self.draw_hashes, &mut self.mesh_memo);
-        self.draw_hashes_ready = true;
+        let cached = self.frontend == FrontendMode::Incremental;
         let seed = frontend::geom_seed(&self.config, mode, &view_proj);
 
         // Classify on the main thread: mode skips, quarantine, and
@@ -1009,91 +913,54 @@ impl Simulator {
             if mode == PipelineMode::CollisionOnly && draw.collidable.is_none() {
                 continue; // only collisionable commands are submitted
             }
+            // Ingest validation (always on the main thread, so
+            // quarantine decisions are thread-count independent):
+            // forged ids and non-finite input never reach the rasterizer.
             if draw.validate().is_err() {
                 g.draws_quarantined += 1;
                 continue;
             }
             let key = coherence::mix(seed, self.draw_hashes[draw_idx]);
-            let geom = self.geom_cache.get(key);
+            let geom = if cached { self.geom_cache.get(key) } else { None };
             plan.push(DrawPlan { draw: draw_idx as u32, key, hit: geom.is_some(), geom });
         }
-
-        // Shade the misses. Each is a pure function of (draw,
-        // view-projection, config, mode), so the fan-out is free of
-        // shared state; results merge back by plan position.
-        let missing: Vec<(usize, u32)> =
-            plan.iter().enumerate().filter(|(_, p)| !p.hit).map(|(i, p)| (i, p.draw)).collect();
-        if !missing.is_empty() {
-            let cfg = &self.config;
-            if threads <= 1 || missing.len() <= 1 {
-                for &(pi, di) in &missing {
-                    plan[pi].geom = Some(Arc::new(frontend::shade_draw(
-                        &trace.draws[di as usize],
-                        &view_proj,
-                        cfg,
-                        mode,
-                        &mut self.vertex_scratch,
-                    )));
-                }
-            } else {
-                let next = AtomicUsize::new(0);
-                let missing = &missing[..];
-                let view_proj = &view_proj;
-                let batches: Vec<Vec<(usize, Arc<CachedDrawGeom>)>> = std::thread::scope(|s| {
-                    let handles: Vec<_> = (0..threads.min(missing.len()))
-                        .map(|_| {
-                            let next = &next;
-                            s.spawn(move || {
-                                let mut scratch: Vec<Vec4> = Vec::new();
-                                let mut done = Vec::new();
-                                loop {
-                                    let i = next.fetch_add(1, Ordering::Relaxed);
-                                    if i >= missing.len() {
-                                        break;
-                                    }
-                                    let (pi, di) = missing[i];
-                                    let geom = frontend::shade_draw(
-                                        &trace.draws[di as usize],
-                                        view_proj,
-                                        cfg,
-                                        mode,
-                                        &mut scratch,
-                                    );
-                                    done.push((pi, Arc::new(geom)));
-                                }
-                                done
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("geometry shading worker panicked"))
-                        .collect()
-                });
-                for batch in batches {
-                    for (pi, geom) in batch {
-                        plan[pi].geom = Some(geom);
-                    }
-                }
-            }
+        if threads > 1 && plan.iter().filter(|p| !p.hit).count() > 1 {
+            shade_pooled(trace, &view_proj, &self.config, mode, threads, &mut plan);
         }
 
-        // Ordered merge: draw order, exactly the rebuild path's
-        // emission sequence. Cache-model traffic is replayed with the
-        // current frame's draw indices and record ids.
-        let vrb = self.config.vertex_record_bytes;
-        let prb = self.config.prim_record_bytes;
-        for p in &plan {
+        // Ordered merge: draw order, with cache-model traffic replayed
+        // under the current frame's draw indices and record ids.
+        let Simulator {
+            config: cfg,
+            vertex_cache,
+            tile_cache,
+            bins,
+            tracer,
+            geom_cache,
+            geom_scratch,
+            vertex_scratch,
+            draw_bounds,
+            ..
+        } = self;
+        let (vrb, prb) = (cfg.vertex_record_bytes, cfg.prim_record_bytes);
+        let mut record_counter: u64 = 0;
+        for p in plan {
             let draw_idx = p.draw as usize;
             let draw = &trace.draws[draw_idx];
-            let geom = p.geom.as_ref().expect("every planned draw was cached or shaded");
+            let geom: &CachedDrawGeom = match &p.geom {
+                Some(geom) => geom,
+                None => {
+                    frontend::shade_draw(draw, &view_proj, cfg, mode, vertex_scratch, geom_scratch);
+                    geom_scratch
+                }
+            };
             let base_addr = (draw_idx as u64) << 32;
             for vi in 0..geom.verts {
-                self.vertex_cache.read_span(base_addr + vi * vrb, vrb);
+                vertex_cache.read_span(base_addr + vi * vrb, vrb);
             }
             g.vertices_shaded += geom.verts;
             g.vp_busy_cycles += geom.verts * draw.shader.vertex_cycles as u64;
-            if self.tracer.is_some() {
+            if tracer.is_some() {
                 draw_log.push((draw_idx as u64, geom.verts, geom.tris_in));
             }
             g.triangles_assembled += geom.tris_in;
@@ -1102,25 +969,29 @@ impl Simulator {
             g.triangles_degenerate += geom.degenerate;
             g.triangles_culled += geom.culled;
             g.triangles_tagged += geom.tagged;
-            if p.hit {
-                g.reuse_draws += 1;
-            } else {
-                g.shaded_draws += 1;
+            if cached {
+                if p.hit {
+                    g.reuse_draws += 1;
+                } else {
+                    g.shaded_draws += 1;
+                }
             }
             if bp {
                 // Bounds were folded once at shade time and memoized
                 // with the draw's geometry: cached draws pay nothing.
-                self.draw_bounds[draw_idx] = geom.bounds;
+                draw_bounds[draw_idx] = geom.bounds;
             }
 
             let mut tile_lo = 0usize;
             for t in &geom.tris {
+                // Write the primitive record once, then bin it into
+                // every overlapped tile.
                 let record = record_counter;
                 record_counter += 1;
-                self.tile_cache.write_span(RECORD_BASE + record * prb, prb);
+                tile_cache.write_span(RECORD_BASE + record * prb, prb);
                 g.prim_records += 1;
                 for &ti in &geom.tiles[tile_lo..t.tiles_end as usize] {
-                    let entry = self.bins.push(
+                    let entry = bins.push(
                         ti as usize,
                         BinnedPrim {
                             tri: t.tri,
@@ -1130,29 +1001,29 @@ impl Simulator {
                             tagged_cull: t.tagged_cull,
                         },
                     );
-                    self.tile_cache.write_span(BIN_BASE + ((ti as u64) << 24) + entry * 8, 8);
+                    tile_cache.write_span(BIN_BASE + ((ti as u64) << 24) + entry * 8, 8);
                     g.bin_entries += 1;
                     if p.hit {
                         g.bin_splices += 1;
-                        if let Some(tr) = self.tracer.as_deref_mut() {
+                        if let Some(tr) = tracer.as_deref_mut() {
                             tr.record_bin_splice(ti % tiles_x, ti / tiles_x);
                         }
                     }
                 }
                 tile_lo = t.tiles_end as usize;
             }
-            if !p.hit {
-                self.geom_cache.insert(p.key, geom.clone());
+            if cached && !p.hit {
+                // An inline miss hands its scratch to the cache; the
+                // next inline miss starts a fresh one.
+                let geom = p.geom.unwrap_or_else(|| Arc::new(std::mem::take(geom_scratch)));
+                geom_cache.insert(p.key, geom);
             }
         }
         self.seal_geometry(g, &draw_log)
     }
 
-    /// Shared closing of both front-ends: bin layout, cache-stat
-    /// snapshots, stage-timing derivation, and trace emission. One body
-    /// so the derived `geometry.cycles` (and the trace) of the
-    /// incremental path is the rebuild derivation applied to identical
-    /// inputs — identical by construction.
+    /// Closes the geometry stage: bin layout, cache-stat snapshots,
+    /// stage-timing derivation, and trace emission.
     fn seal_geometry(&mut self, mut g: GeometryStats, draw_log: &[(u64, u64, u64)]) -> GeometryStats {
         self.bins.layout();
 
@@ -1358,6 +1229,140 @@ mod tests {
         assert_eq!(stats.geometry.triangles_clipped_out, 12);
         assert_eq!(stats.raster.fragments_rasterized, 0);
         assert!(stats.geometry.cycles > 0);
+    }
+
+    /// Frame `f` of a scene that walks every branch of the geometry
+    /// stage: a ground plane crossing the near plane (clipped into one or
+    /// two triangles), a cube wholly behind the eye (clipped out), a
+    /// scenery cube (culled), moving collidables (tagged under RBCD), a
+    /// zero-area triangle and an off-screen cube (both dropped as
+    /// degenerate), and a NaN-transformed draw (quarantined).
+    fn adversarial_trace(f: usize) -> FrameTrace {
+        use rbcd_geometry::Mesh;
+        let camera = Camera::perspective(Vec3::new(0.0, 1.0, 4.0), Vec3::ZERO, 1.0, 0.1, 100.0);
+        let at = |x: f32, y: f32, z: f32| Mat4::translation(Vec3::new(x, y, z));
+        let sliver = Mesh::new_unchecked(
+            vec![
+                Vec3::new(-0.5, 0.0, 0.0),
+                Vec3::new(0.0, 0.0, 0.0),
+                Vec3::new(0.5, 0.0, 0.0),
+                Vec3::new(0.0, 0.6, 0.0),
+            ],
+            vec![[0, 1, 2], [0, 2, 3]],
+        );
+        let step = f as f32 * 0.15;
+        FrameTrace::new(camera, vec![
+            DrawCommand::scenery(shapes::ground_quad(30.0, 30.0)).with_model(at(0.0, -1.0, 0.0)),
+            DrawCommand::scenery(shapes::cube(0.8)).with_model(at(-1.4, 0.0, 0.0)),
+            DrawCommand::collidable(shapes::cube(0.8), ObjectId::new(1)).with_model(at(0.2 + step, 0.0, 0.0)),
+            DrawCommand::collidable(shapes::icosphere(0.6, 1), ObjectId::new(2))
+                .with_model(at(1.0, 0.3 - step, -0.5)),
+            DrawCommand::scenery(sliver).with_model(at(-0.3, 0.9, 0.5)),
+            DrawCommand::collidable(shapes::cube(0.5), ObjectId::new(3)).with_model(at(30.0, 0.0, 0.0)),
+            DrawCommand::collidable(shapes::cube(0.5), ObjectId::new(4)).with_model(at(f32::NAN, 0.0, 0.0)),
+            DrawCommand::scenery(shapes::cube(0.5)).with_model(at(0.0, 0.0, 20.0)),
+        ])
+    }
+
+    /// Every field of `g`, in declaration order, with both cache models
+    /// split into read/write accesses and misses. The destructuring is
+    /// exhaustive, so a new field cannot slip past the pin.
+    fn geometry_row(g: &GeometryStats) -> [u64; 23] {
+        let GeometryStats {
+            vertices_shaded,
+            triangles_assembled,
+            triangles_clipped_out,
+            triangles_after_clip,
+            triangles_culled,
+            triangles_tagged,
+            triangles_degenerate,
+            draws_quarantined,
+            bin_entries,
+            prim_records,
+            tile_cache_stores: ts,
+            vertex_cache: vc,
+            vp_busy_cycles,
+            cycles,
+            reuse_draws,
+            shaded_draws,
+            bin_splices,
+        } = *g;
+        [
+            vertices_shaded,
+            triangles_assembled,
+            triangles_clipped_out,
+            triangles_after_clip,
+            triangles_culled,
+            triangles_tagged,
+            triangles_degenerate,
+            draws_quarantined,
+            bin_entries,
+            prim_records,
+            ts.read_accesses,
+            ts.read_misses,
+            ts.write_accesses,
+            ts.write_misses,
+            vc.read_accesses,
+            vc.read_misses,
+            vc.write_accesses,
+            vc.write_misses,
+            vp_busy_cycles,
+            cycles,
+            reuse_draws,
+            shaded_draws,
+            bin_splices,
+        ]
+    }
+
+    /// A digest of the binned frame: per active tile, its index and each
+    /// primitive's draw, record, facing, tag, and triangle bits.
+    fn bins_digest(bins: &BinnedTiles) -> u64 {
+        use crate::coherence::mix;
+        let mut h = 0u64;
+        for &ti in bins.active() {
+            h = mix(h, ti as u64);
+            for p in bins.tile(ti as usize) {
+                h = mix(h, (p.draw as u64) << 32 | p.record);
+                h = mix(h, (p.facing == Facing::Front) as u64 | (p.tagged_cull as u64) << 1);
+                for v in p.tri.v {
+                    h = mix(h, (v.x.to_bits() as u64) << 32 | v.y.to_bits() as u64);
+                    h = mix(h, v.z.to_bits() as u64);
+                }
+            }
+        }
+        h
+    }
+
+    /// Pins the geometry stage's whole output at the library default:
+    /// every `GeometryStats` field (the read/write split of both cache
+    /// models included, which `counter_set()` folds together) and a
+    /// digest of the binned tiles, over two frames in each pipeline mode.
+    #[test]
+    fn golden_geometry_on_an_adversarial_scene() {
+        // Per frame: the `geometry_row` and the `bins_digest`.
+        type Pin = ([u64; 23], u64);
+        let golden: [(PipelineMode, [Pin; 2]); 3] = [
+            (PipelineMode::Baseline, [
+                ([82, 132, 12, 121, 66, 0, 8, 1, 105, 47, 0, 0, 152, 82, 82, 21, 0, 0, 656, 1213, 0, 0, 0], 0x9d033463799442f0),
+                ([82, 132, 12, 121, 66, 0, 8, 1, 106, 47, 0, 0, 153, 57, 82, 12, 0, 0, 656, 991, 0, 0, 0], 0xcb4e469efde75a52),
+            ]),
+            (PipelineMode::Rbcd, [
+                ([82, 132, 12, 121, 6, 60, 14, 1, 176, 101, 0, 0, 277, 123, 82, 21, 0, 0, 656, 1279, 0, 0, 0], 0x9c2c562f38d58507),
+                ([82, 132, 12, 121, 6, 60, 16, 1, 176, 99, 0, 0, 275, 67, 82, 12, 0, 0, 656, 1007, 0, 0, 0], 0x7baaefc3beb18f27),
+            ]),
+            (PipelineMode::CollisionOnly, [
+                ([58, 104, 0, 104, 0, 60, 13, 1, 121, 91, 0, 0, 212, 83, 58, 15, 0, 0, 464, 901, 0, 0, 0], 0x6d33c2a58f4ff900),
+                ([58, 104, 0, 104, 0, 60, 15, 1, 121, 89, 0, 0, 210, 29, 58, 6, 0, 0, 464, 632, 0, 0, 0], 0x5eccd67898031e03),
+            ]),
+        ];
+        for (mode, frames) in golden {
+            let mut sim = Simulator::new(small_config());
+            for (f, want) in frames.into_iter().enumerate() {
+                let g = sim.render_frame(&adversarial_trace(f), mode, &mut NullCollisionUnit).geometry;
+                let got = (geometry_row(&g), bins_digest(&sim.bins));
+                assert_eq!(got, want, "{mode:?} frame {f}: geometry output drifted");
+            }
+        }
     }
 
     #[test]

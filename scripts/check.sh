@@ -22,8 +22,10 @@
 # (BENCH_geometry_frontend.json). The broad-phase smoke A/Bs the
 # screen-space broad phase against an unpruned run and fails on any
 # divergence or wall-clock regression (BENCH_broadphase.json). The
-# scene guards check that --scene narrows the A/B experiments (an
-# alias outside an experiment's family exits 2). The
+# front-end figure guard checks that the paper figures print the same
+# under either geometry front-end. The scene guards check that --scene
+# narrows the A/B experiments (an alias outside an experiment's family
+# exits 2). The
 # overload smoke sweeps the
 # frame-deadline governor down to a 25% cycle budget under the storm
 # fault plan (repro exits non-zero on any budget violation or silent
@@ -145,6 +147,18 @@ geo=$(sed -n 's/.*"speedup_geomean": \([0-9.]*\).*/\1/p' BENCH_broadphase.json)
 [ -n "$geo" ] || { echo "broadphase smoke: no speedup_geomean in JSON"; exit 1; }
 awk -v g="$geo" 'BEGIN { exit (g >= 1.0) ? 0 : 1 }' \
   || { echo "broadphase smoke: broad phase slower than off (geomean ${geo}x)"; exit 1; }
+
+echo "== front-end figure guard (repro fig8a fig8b table3 --frames 2) =="
+# The paper figures must not depend on the geometry front-end: rebuild
+# and incremental differ only in host wall-clock and the geom.*
+# accounting counters, which no figure prints. Both runs' stdout and
+# stderr must match once the host-time lines are stripped.
+for fe in rebuild incremental; do
+  "$repro" fig8a fig8b table3 --frames 2 --frontend "$fe" 2>&1 \
+    | grep -v 'of host time' > "$trace_dir/figures.$fe.txt"
+done
+cmp -s "$trace_dir/figures.rebuild.txt" "$trace_dir/figures.incremental.txt" \
+  || { echo "front-end figure guard: figures differ between --frontend rebuild and incremental"; exit 1; }
 
 echo "== A/B --scene guards =="
 # The A/B experiments narrow their workload family with --scene: an
